@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "core/splitters.hpp"
 #include "extmem/distribute.hpp"
 #include "extmem/merge.hpp"
+#include "extmem/radix_sort.hpp"
 #include "extmem/record.hpp"
 #include "sim/sim.hpp"
 
@@ -587,13 +589,11 @@ class DsmSortSim {
       // collected and emitted after the (possibly measured) CPU charge.
       ready.clear();
       const double w0 = wall_seconds();
+      std::uint64_t block_checksum = 0;
       for (std::size_t i = 0; i < blk; ++i) {
         const std::uint32_t key = gen.next();
-        checksum_in_[a] += key;
-        ++count_in_[a];
-        const auto s = cfg_.distribute_on_asus
-                           ? classifier_(em::KeyRecord{key, 0})
-                           : 0u;
+        block_checksum += key;
+        const std::uint32_t s = cfg_.distribute_on_asus ? classifier_(key) : 0u;
         staging[s].records.push_back({key, next_id++});
         ++staged_records;
         if (staging[s].records.size() >= packet_records_) {
@@ -614,6 +614,8 @@ class DsmSortSim {
         }
       }
       const double wall = wall_seconds() - w0;
+      checksum_in_[a] += block_checksum;
+      count_in_[a] += blk;
       records_done.inc(blk);
 
       if (cfg_.distribute_on_asus) {
@@ -737,9 +739,16 @@ class DsmSortSim {
       sort_staged_records_[hh] += p->records.size();
       to_sort_->pool().release(std::move(p->records));
       while (buf.size() >= run_len) {
-        std::vector<em::KeyRecord> block(buf.begin(),
-                                         buf.begin() + std::ptrdiff_t(run_len));
-        buf.erase(buf.begin(), buf.begin() + std::ptrdiff_t(run_len));
+        std::vector<em::KeyRecord> block;
+        if (buf.size() == run_len) {
+          // The staged buffer is exactly one run: hand it over whole and
+          // restart staging in a buffer sized for the next one.
+          block = std::exchange(buf, {});
+          buf.reserve(run_len);
+        } else {
+          block.assign(buf.begin(), buf.begin() + std::ptrdiff_t(run_len));
+          buf.erase(buf.begin(), buf.begin() + std::ptrdiff_t(run_len));
+        }
         sort_staged_records_[hh] -= run_len;
         co_await emit_run(*node, hh, p->subset, std::move(block),
                           next_run_id++, parent_flow);
@@ -769,8 +778,11 @@ class DsmSortSim {
   sim::Task<> emit_run(asu_ns::Node& node, unsigned hh, std::uint32_t subset,
                        std::vector<em::KeyRecord> block,
                        std::uint32_t run_id, std::uint64_t parent_flow) {
+    // Run formation is a stable radix sort: equal keys keep their arrival
+    // order. It completes before the first co_await, so every instance
+    // can share the one scratch buffer.
     const double w0 = wall_seconds();
-    std::sort(block.begin(), block.end());
+    em::radix_sort_by_key(block, sort_scratch_);
     const double wall = wall_seconds() - w0;
     const double charge =
         mp_.measured_timing
@@ -813,15 +825,30 @@ class DsmSortSim {
     const std::uint32_t track =
         eng_.tracer().track(pfx("store") + std::to_string(a));
     auto& in = store_in_->inbox(a);
-    // Chunks are keyed by (run_id, seq) rather than appended in arrival
+    // Chunks are placed by (run_id, seq) rather than appended in arrival
     // order: fault re-routing (retry-with-timeout) can let a later chunk
     // of a run overtake an earlier one, and chunk seqs within a run are
     // assigned in key order, so seq-ordered concatenation reconstructs a
-    // sorted run under any interleaving. Arrival order == seq order in
-    // fault-free runs, so this is behavior-neutral there.
+    // sorted run under any interleaving. Chunks that extend the run's
+    // contiguous prefix [0, next_seq) append to it as they arrive; any
+    // other chunk waits in `pending` and joins in seq order. Appended
+    // chunk buffers go back to the stage's pool.
+    const std::size_t run_len = cfg_.host_run_length();
     struct OpenRun {
       std::uint32_t subset = 0;
-      std::map<std::uint32_t, std::vector<em::KeyRecord>> chunks;
+      std::vector<em::KeyRecord> records;
+      std::uint32_t next_seq = 0;
+      std::map<std::uint32_t, std::vector<em::KeyRecord>> pending;
+    };
+    const auto append = [&](std::vector<em::KeyRecord>& to,
+                            std::vector<em::KeyRecord>&& chunk) {
+      if (to.empty()) {
+        to = std::move(chunk);
+        return;
+      }
+      to.reserve(std::max(run_len, to.size() + chunk.size()));
+      to.insert(to.end(), chunk.begin(), chunk.end());
+      to_store_->pool().release(std::move(chunk));
     };
     std::map<std::uint32_t, OpenRun> open;  // run_id -> accumulating run
     while (true) {
@@ -835,23 +862,26 @@ class DsmSortSim {
       if (store_hist_ != nullptr) store_hist_->observe(eng_.now() - t_take);
       OpenRun& run = open[p->run_id];
       run.subset = p->subset;
-      auto& chunk = run.chunks[p->seq];
-      if (chunk.empty()) {
-        chunk = std::move(p->records);
-      } else {
-        chunk.insert(chunk.end(), p->records.begin(), p->records.end());
-        to_store_->pool().release(std::move(p->records));
+      if (p->seq != run.next_seq) {
+        append(run.pending[p->seq], std::move(p->records));
+        continue;
+      }
+      append(run.records, std::move(p->records));
+      ++run.next_seq;
+      for (auto it = run.pending.begin();
+           it != run.pending.end() && it->first == run.next_seq;
+           it = run.pending.erase(it)) {
+        append(run.records, std::move(it->second));
+        ++run.next_seq;
       }
     }
     auto& dest = stored_[a];
     dest.reserve(open.size());
     for (auto& [run_id, run] : open) {
-      StoredRun sr;
-      sr.subset = run.subset;
-      for (auto& [seq, recs] : run.chunks) {
-        sr.records.insert(sr.records.end(), recs.begin(), recs.end());
+      for (auto& [seq, chunk] : run.pending) {
+        append(run.records, std::move(chunk));
       }
-      dest.push_back(std::move(sr));
+      dest.push_back(StoredRun{run.subset, std::move(run.records)});
     }
     store_end_[a] = eng_.now();
   }
@@ -869,16 +899,25 @@ class DsmSortSim {
     for (const auto& asu_runs : stored_) {
       rep.runs_stored += asu_runs.size();
       for (const auto& run : asu_runs) {
-        rep.records_stored += run.records.size();
-        if (!std::is_sorted(run.records.begin(), run.records.end())) {
-          rep.runs_sorted_ok = false;
+        const auto& recs = run.records;
+        rep.records_stored += recs.size();
+        // One sweep sums the keys and counts order violations.
+        std::size_t descents = 0;
+        for (std::size_t i = 0; i < recs.size(); ++i) {
+          checksum_out += recs[i].key;
+          descents += i > 0 && recs[i].key < recs[i - 1].key;
         }
-        for (const auto& r : run.records) {
-          checksum_out += r.key;
-          if (cfg_.distribute_on_asus &&
-              classifier_(r) != run.subset) {
-            rep.subsets_ok = false;
-          }
+        const bool sorted = descents == 0;
+        if (!sorted) rep.runs_sorted_ok = false;
+        if (!cfg_.distribute_on_asus || recs.empty()) continue;
+        // The classifier is monotone in the key, so a sorted run lies in
+        // one bucket iff its first and last records do.
+        const auto in_subset = [&](const em::KeyRecord& r) {
+          return classifier_(r.key) == run.subset;
+        };
+        if (sorted ? !in_subset(recs.front()) || !in_subset(recs.back())
+                   : !std::all_of(recs.begin(), recs.end(), in_subset)) {
+          rep.subsets_ok = false;
         }
       }
     }
@@ -956,22 +995,22 @@ class DsmSortSim {
     std::uint32_t next_run_id = a * 0x10000u + 1;
     for (std::uint32_t s = 0; s < alpha_; ++s) {
       // Collect this ASU's local runs of subset s.
-      std::vector<const StoredRun*> runs;
+      std::vector<std::span<const em::KeyRecord>> runs;
       for (const auto& run : stored_[a]) {
-        if (run.subset == s && !run.records.empty()) runs.push_back(&run);
+        if (run.subset == s && !run.records.empty()) {
+          runs.emplace_back(run.records);
+        }
       }
       if (!runs.empty()) {
         // Sequential disk read of the runs we are about to merge.
         std::size_t bytes = 0;
-        for (const auto* r : runs) {
-          bytes += r->records.size() * mp_.record_bytes;
-        }
+        for (const auto r : runs) bytes += r.size() * mp_.record_bytes;
         co_await node.disk().read(bytes);
 
         if (cfg_.gamma1 == 1 || runs.size() == 1) {
           // No ASU-side merge: ship runs as-is (hosts take full fan-in).
-          for (const auto* r : runs) {
-            co_await ship_run(node, s, next_run_id++, r->records);
+          for (const auto r : runs) {
+            co_await ship_run(node, s, next_run_id++, r);
           }
         } else {
           const std::size_t g =
@@ -980,7 +1019,8 @@ class DsmSortSim {
                                                        runs.size());
           for (std::size_t base = 0; base < runs.size(); base += g) {
             const std::size_t cnt = std::min(g, runs.size() - base);
-            auto merged = merge_group(runs, base, cnt);
+            const auto merged = em::merge_runs<em::KeyRecord>(
+                std::span(runs).subspan(base, cnt));
             co_await node.compute(
                 double(merged.size()) *
                 mp_.cost.merge_per_record(unsigned(cnt), /*on_asu=*/true));
@@ -997,28 +1037,9 @@ class DsmSortSim {
     to_host_merge_->producer_done();
   }
 
-  static std::vector<em::KeyRecord> merge_group(
-      const std::vector<const StoredRun*>& runs, std::size_t base,
-      std::size_t cnt) {
-    std::vector<em::LoserTree<em::KeyRecord>::Source> sources;
-    sources.reserve(cnt);
-    for (std::size_t i = 0; i < cnt; ++i) {
-      const auto* run = runs[base + i];
-      sources.push_back(
-          [run, pos = std::size_t(0)]() mutable -> std::optional<em::KeyRecord> {
-            if (pos >= run->records.size()) return std::nullopt;
-            return run->records[pos++];
-          });
-    }
-    em::LoserTree<em::KeyRecord> tree(std::move(sources));
-    std::vector<em::KeyRecord> out;
-    while (auto r = tree.next()) out.push_back(*r);
-    return out;
-  }
-
   sim::Task<> ship_run(asu_ns::Node& node, std::uint32_t subset,
                        std::uint32_t run_id,
-                       const std::vector<em::KeyRecord>& records) {
+                       std::span<const em::KeyRecord> records) {
     std::size_t off = 0;
     std::uint32_t seq = 0;
     while (off < records.size()) {
@@ -1079,6 +1100,7 @@ class DsmSortSim {
     std::vector<std::vector<em::KeyRecord>> work;
     work.reserve(runs.size());
     for (auto& [id, vec] : runs) work.push_back(std::move(vec));
+    runs.clear();
     while (cfg_.gamma2_max >= 2 && work.size() > cfg_.gamma2_max) {
       std::vector<std::vector<em::KeyRecord>> next;
       for (std::size_t base = 0; base < work.size();
@@ -1089,46 +1111,22 @@ class DsmSortSim {
           next.push_back(std::move(work[base]));
           continue;
         }
-        std::vector<em::LoserTree<em::KeyRecord>::Source> sources;
-        sources.reserve(cnt);
-        std::size_t total = 0;
-        for (std::size_t i = 0; i < cnt; ++i) {
-          total += work[base + i].size();
-          sources.push_back([v = &work[base + i],
-                             pos = std::size_t(0)]() mutable
-                            -> std::optional<em::KeyRecord> {
-            if (pos >= v->size()) return std::nullopt;
-            return (*v)[pos++];
-          });
-        }
-        em::LoserTree<em::KeyRecord> tree(std::move(sources));
-        std::vector<em::KeyRecord> merged;
-        merged.reserve(total);
-        while (auto r = tree.next()) merged.push_back(*r);
+        auto merged = em::merge_runs<em::KeyRecord>(
+            std::vector<std::span<const em::KeyRecord>>(
+                work.begin() + std::ptrdiff_t(base),
+                work.begin() + std::ptrdiff_t(base + cnt)));
         co_await node.compute(
-            double(total) *
+            double(merged.size()) *
             mp_.cost.merge_per_record(unsigned(cnt), /*on_asu=*/false));
         next.push_back(std::move(merged));
       }
       work = std::move(next);
     }
-    runs.clear();
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      runs.emplace(std::uint32_t(i), std::move(work[i]));
-    }
 
-    const unsigned gamma2 = unsigned(runs.size());
-    std::vector<em::LoserTree<em::KeyRecord>::Source> sources;
-    sources.reserve(runs.size());
-    for (auto& [id, vec] : runs) {
-      sources.push_back(
-          [v = &vec, pos = std::size_t(0)]() mutable
-          -> std::optional<em::KeyRecord> {
-            if (pos >= v->size()) return std::nullopt;
-            return (*v)[pos++];
-          });
-    }
-    em::LoserTree<em::KeyRecord> tree(std::move(sources));
+    // The final merge streams into packets: the subset is never held twice.
+    const unsigned gamma2 = unsigned(work.size());
+    em::RunMerge<em::KeyRecord> tree(
+        std::vector<em::RunCursor<em::KeyRecord>>(work.begin(), work.end()));
     const double per_rec =
         mp_.cost.merge_per_record(gamma2, /*on_asu=*/false);
 
@@ -1200,26 +1198,21 @@ class DsmSortSim {
 
   /// Build the bucket classifier. Sampled splitters take a deterministic
   /// pre-pass over each ASU's key stream (the generators are cheap and
-  /// reproducible; a real deployment would sample the stored input).
-  [[nodiscard]] std::function<std::uint32_t(const em::KeyRecord&)>
-  make_classifier() const {
+  /// reproducible; a real deployment would sample the stored input): the
+  /// sampled keys are generated, the rest only skipped.
+  [[nodiscard]] BucketClassifier make_classifier() const {
     if (cfg_.splitters == DsmSortConfig::Splitters::Sampled && alpha_ > 1) {
       std::vector<std::uint32_t> sample;
       for (unsigned a = 0; a < d_; ++a) {
         const std::size_t n_local = local_share(a);
         if (n_local == 0) continue;
         KeyGenerator gen(cfg_.key_dist, n_local, workload_stream(a));
-        const std::size_t stride = std::max<std::size_t>(1, n_local / 4096);
-        for (std::size_t i = 0; i < n_local; ++i) {
-          const auto k = gen.next();
-          if (i % stride == 0) sample.push_back(k);
-        }
+        sample_keys(gen, n_local, n_local / 4096, sample);
       }
-      return SplitterClassifier(choose_splitters(std::move(sample), alpha_));
+      return BucketClassifier::sampled(
+          choose_splitters(std::move(sample), alpha_));
     }
-    return [cls = em::RangeClassifier<std::uint32_t>(0, std::uint32_t(-1),
-                                                     alpha_)](
-               const em::KeyRecord& r) { return std::uint32_t(cls(r)); };
+    return BucketClassifier::range(alpha_);
   }
 
   [[nodiscard]] std::size_t derive_packet_records() const {
@@ -1251,7 +1244,9 @@ class DsmSortSim {
   unsigned alpha_;
   std::size_t packet_records_;
   std::size_t block_records_;
-  std::function<std::uint32_t(const em::KeyRecord&)> classifier_;
+  BucketClassifier classifier_;
+  /// Scratch for emit_run's radix sort (at most one run long).
+  std::vector<em::KeyRecord> sort_scratch_;
 
   std::unique_ptr<StageInboxes> sort_in_;
   std::unique_ptr<StageInboxes> store_in_;

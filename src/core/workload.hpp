@@ -56,6 +56,31 @@ class KeyGenerator {
     return 0;
   }
 
+  /// Step past the next key exactly as next() would — the same RNG
+  /// draws, including exponential()'s rejection of a zero uniform — but
+  /// without the exp/log transform that turns the draw into a key.
+  void skip() {
+    const std::size_t i = emitted_++;
+    switch (dist_) {
+      case KeyDist::Uniform:
+        rng_.next();
+        return;
+      case KeyDist::Exponential:
+        skip_exponential();
+        return;
+      case KeyDist::HalfUniformHalfExp:
+        if (i < total_ / 2) {
+          rng_.next();
+        } else {
+          skip_exponential();
+        }
+        return;
+      case KeyDist::Sorted:
+      case KeyDist::ReverseSorted:
+        return;
+    }
+  }
+
   [[nodiscard]] std::vector<std::uint32_t> take(std::size_t n) {
     std::vector<std::uint32_t> out(n);
     for (auto& k : out) k = next();
@@ -77,6 +102,14 @@ class KeyGenerator {
     return std::uint32_t(x * 4294967296.0);
   }
 
+  /// The draws of Rng::exponential(), without its -log(u) / rate.
+  void skip_exponential() {
+    double u;
+    do {
+      u = rng_.uniform();
+    } while (u <= 0.0);
+  }
+
   [[nodiscard]] std::uint32_t scale_index(std::size_t i) const {
     if (total_ <= 1) return 0;
     return std::uint32_t((double(i) / double(total_ - 1)) * 4294967295.0);
@@ -87,5 +120,19 @@ class KeyGenerator {
   sim::Rng rng_;
   std::size_t emitted_ = 0;
 };
+
+/// Append every `stride`-th of the next `n` keys of `gen` (positions 0,
+/// stride, 2*stride, ... of those n) to `out`. The keys in between are
+/// skipped, not generated, yet `gen` ends exactly where n calls to
+/// next() would leave it.
+inline void sample_keys(KeyGenerator& gen, std::size_t n, std::size_t stride,
+                        std::vector<std::uint32_t>& out) {
+  stride = std::max<std::size_t>(1, stride);
+  for (std::size_t i = 0; i < n; i += stride) {
+    out.push_back(gen.next());
+    const std::size_t gap = std::min(stride, n - i) - 1;
+    for (std::size_t j = 0; j < gap; ++j) gen.skip();
+  }
+}
 
 }  // namespace lmas::core

@@ -1,89 +1,171 @@
 #pragma once
 
-#include <cassert>
+#include <concepts>
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "extmem/stream.hpp"
 
 namespace lmas::em {
 
-/// Loser-tree (tournament) k-way merge. Comparisons per record are
-/// ceil(log2 k) — the `n log(gamma)` term in the paper's work accounting.
-/// Ties break toward the lower source index, making the merge stable
-/// across sources.
-template <FixedSizeRecord T, typename Less = std::less<T>>
+/// Merge input that pulls records one at a time from a callable
+/// (nullopt = exhausted). The general form: any producer fits.
+template <FixedSizeRecord T>
+class PullCursor {
+ public:
+  using Source = std::function<std::optional<T>()>;
+
+  explicit PullCursor(Source source)
+      : source_(std::move(source)), head_(source_()) {}
+
+  [[nodiscard]] bool done() const noexcept { return !head_; }
+  [[nodiscard]] const T& head() const noexcept { return *head_; }
+  void advance() { head_ = source_(); }
+
+ private:
+  Source source_;
+  std::optional<T> head_;
+};
+
+/// Merge input that reads a sorted run in place from contiguous memory:
+/// no copies into the tree and no indirect call per record.
+template <FixedSizeRecord T>
+class RunCursor {
+ public:
+  explicit RunCursor(std::span<const T> run) noexcept
+      : pos_(run.data()), end_(run.data() + run.size()) {}
+
+  [[nodiscard]] bool done() const noexcept { return pos_ == end_; }
+  [[nodiscard]] const T& head() const noexcept { return *pos_; }
+  void advance() noexcept { ++pos_; }
+
+ private:
+  const T* pos_;
+  const T* end_;
+};
+
+/// What the loser tree needs of an input: a current record, a way past
+/// it, and an exhaustion test.
+template <typename C, typename T>
+concept MergeCursor = requires(C& c, const C& cc) {
+  { cc.done() } -> std::convertible_to<bool>;
+  { cc.head() } -> std::convertible_to<const T&>;
+  c.advance();
+};
+
+/// Loser-tree (tournament) k-way merge. Each record costs ceil(log2 k)
+/// comparisons on its way to the root — the `n log(gamma)` term in the
+/// paper's work accounting. Ties break toward the lower source index,
+/// making the merge stable across sources: the output is the inputs
+/// concatenated in source order and stably sorted.
+///
+/// `Cursor` is the input type: PullCursor (the default, built from
+/// `Source` callables) for arbitrary producers, RunCursor for runs that
+/// already sit in memory.
+template <FixedSizeRecord T, typename Less = std::less<T>,
+          typename Cursor = PullCursor<T>>
+  requires MergeCursor<Cursor, T>
 class LoserTree {
  public:
   /// `sources` pull the next record from each input (nullopt = exhausted).
   using Source = std::function<std::optional<T>()>;
 
   explicit LoserTree(std::vector<Source> sources, Less less = {})
-      : less_(less), k_(sources.size()), sources_(std::move(sources)) {
-    assert(k_ >= 1);
-    heads_.resize(k_);
-    alive_ = 0;
-    for (std::size_t i = 0; i < k_; ++i) {
-      heads_[i] = sources_[i]();
-      if (heads_[i]) ++alive_;
+    requires std::same_as<Cursor, PullCursor<T>>
+      : LoserTree(pull_cursors(std::move(sources)), std::move(less)) {}
+
+  explicit LoserTree(std::vector<Cursor> cursors, Less less = {})
+      : less_(std::move(less)), cursors_(std::move(cursors)) {
+    k_ = cursors_.size();
+    while (leaves_ < k_) leaves_ *= 2;
+    // Play the initial tournament bottom-up: each internal node keeps
+    // the loser of its match, the overall winner goes to tree_[0].
+    // Leaves past k_ are permanently exhausted byes.
+    std::vector<std::size_t> winner(2 * leaves_);
+    for (std::size_t i = 0; i < leaves_; ++i) winner[leaves_ + i] = i;
+    tree_.assign(leaves_, 0);
+    for (std::size_t node = leaves_; node-- > 1;) {
+      const std::size_t a = winner[2 * node], b = winner[2 * node + 1];
+      const bool a_wins = beats(a, b);
+      winner[node] = a_wins ? a : b;
+      tree_[node] = a_wins ? b : a;
     }
-    // k can be small; a simple index heap is clearer than a classic
-    // loser array and has identical comparison complexity.
-    heap_.reserve(k_);
-    for (std::size_t i = 0; i < k_; ++i) {
-      if (heads_[i]) heap_.push_back(i);
-    }
-    for (std::size_t i = heap_.size(); i-- > 0;) sift_down(i);
+    tree_[0] = winner[1];
   }
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return done(tree_[0]); }
 
   /// Pop the globally smallest record and refill from its source.
   std::optional<T> next() {
-    if (heap_.empty()) return std::nullopt;
-    const std::size_t src = heap_.front();
-    T out = *heads_[src];
-    heads_[src] = sources_[src]();
-    if (!heads_[src]) {
-      heap_.front() = heap_.back();
-      heap_.pop_back();
-      --alive_;
+    std::size_t w = tree_[0];
+    if (done(w)) return std::nullopt;
+    T out = cursors_[w].head();
+    cursors_[w].advance();
+    // Replay the winner's path: at each node the stored loser plays the
+    // refilled source, and whoever loses stays behind.
+    for (std::size_t node = (leaves_ + w) / 2; node >= 1; node /= 2) {
+      if (beats(tree_[node], w)) std::swap(tree_[node], w);
     }
-    if (!heap_.empty()) sift_down(0);
+    tree_[0] = w;
     return out;
   }
 
   [[nodiscard]] std::size_t fan_in() const noexcept { return k_; }
 
  private:
-  [[nodiscard]] bool src_less(std::size_t a, std::size_t b) const {
-    if (less_(*heads_[a], *heads_[b])) return true;
-    if (less_(*heads_[b], *heads_[a])) return false;
+  static std::vector<Cursor> pull_cursors(std::vector<Source> sources) {
+    std::vector<Cursor> cursors;
+    cursors.reserve(sources.size());
+    for (auto& s : sources) cursors.emplace_back(std::move(s));
+    return cursors;
+  }
+
+  [[nodiscard]] bool done(std::size_t i) const noexcept {
+    return i >= k_ || cursors_[i].done();
+  }
+
+  /// Does source `a`'s head leave the tree before source `b`'s?
+  [[nodiscard]] bool beats(std::size_t a, std::size_t b) const {
+    if (done(a)) return false;
+    if (done(b)) return true;
+    if (less_(cursors_[a].head(), cursors_[b].head())) return true;
+    if (less_(cursors_[b].head(), cursors_[a].head())) return false;
     return a < b;  // stability across sources
   }
 
-  void sift_down(std::size_t i) {
-    const std::size_t n = heap_.size();
-    while (true) {
-      std::size_t best = i;
-      const std::size_t l = 2 * i + 1, r = 2 * i + 2;
-      if (l < n && src_less(heap_[l], heap_[best])) best = l;
-      if (r < n && src_less(heap_[r], heap_[best])) best = r;
-      if (best == i) return;
-      std::swap(heap_[i], heap_[best]);
-      i = best;
-    }
-  }
-
   Less less_;
-  std::size_t k_;
-  std::vector<Source> sources_;
-  std::vector<std::optional<T>> heads_;
-  std::vector<std::size_t> heap_;  // indices of live sources, min at front
-  std::size_t alive_ = 0;
+  std::vector<Cursor> cursors_;
+  std::size_t k_ = 0;
+  std::size_t leaves_ = 1;          // k_ rounded up to a power of two
+  std::vector<std::size_t> tree_;   // [0] winner, [1, leaves_) losers
 };
+
+/// The k-way merge of sorted runs that already sit in memory.
+template <FixedSizeRecord T, typename Less = std::less<T>>
+using RunMerge = LoserTree<T, Less, RunCursor<T>>;
+
+/// Merge sorted in-memory runs into one vector (the tie rule of
+/// LoserTree: equal keys leave in run order).
+template <FixedSizeRecord T, typename Less = std::less<T>>
+std::vector<T> merge_runs(std::span<const std::span<const T>> runs,
+                          Less less = {}) {
+  std::vector<RunCursor<T>> cursors;
+  cursors.reserve(runs.size());
+  std::size_t total = 0;
+  for (const auto run : runs) {
+    cursors.emplace_back(run);
+    total += run.size();
+  }
+  RunMerge<T, Less> tree(std::move(cursors), std::move(less));
+  std::vector<T> out;
+  out.reserve(total);
+  while (auto r = tree.next()) out.push_back(*r);
+  return out;
+}
 
 /// Merge whole streams (each already sorted, cursors at the intended start)
 /// into `out`. Returns the number of records written.

@@ -227,7 +227,13 @@ const Json& Json::at(std::string_view key) const {
   return *v;
 }
 
+const Json::Payload& Json::empty_payload() noexcept {
+  static const Payload empty;
+  return empty;
+}
+
 void Json::dump_to(std::string& out, int indent, int depth) const {
+  const Payload& p = view();
   const bool pretty = indent >= 0;
   const auto newline = [&](int d) {
     if (pretty) {
@@ -239,34 +245,34 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += bool_ ? "true" : "false"; break;
     case Type::Number: append_number(out, num_); break;
-    case Type::String: append_escaped(out, str_); break;
+    case Type::String: append_escaped(out, p.str); break;
     case Type::Array: {
-      if (arr_.empty()) {
+      if (p.arr.empty()) {
         out += "[]";
         break;
       }
       out += '[';
-      for (std::size_t i = 0; i < arr_.size(); ++i) {
+      for (std::size_t i = 0; i < p.arr.size(); ++i) {
         if (i) out += ',';
         newline(depth + 1);
-        arr_[i].dump_to(out, indent, depth + 1);
+        p.arr[i].dump_to(out, indent, depth + 1);
       }
       newline(depth);
       out += ']';
       break;
     }
     case Type::Object: {
-      if (obj_.empty()) {
+      if (p.obj.empty()) {
         out += "{}";
         break;
       }
       out += '{';
-      for (std::size_t i = 0; i < obj_.size(); ++i) {
+      for (std::size_t i = 0; i < p.obj.size(); ++i) {
         if (i) out += ',';
         newline(depth + 1);
-        append_escaped(out, obj_[i].first);
+        append_escaped(out, p.obj[i].first);
         out += pretty ? ": " : ":";
-        obj_[i].second.dump_to(out, indent, depth + 1);
+        p.obj[i].second.dump_to(out, indent, depth + 1);
       }
       newline(depth);
       out += '}';

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,9 +31,22 @@ class Json {
   Json(unsigned long v) noexcept : type_(Type::Number), num_(double(v)) {}
   Json(long long v) noexcept : type_(Type::Number), num_(double(v)) {}
   Json(unsigned long long v) noexcept : type_(Type::Number), num_(double(v)) {}
-  Json(const char* s) : type_(Type::String), str_(s) {}
-  Json(std::string s) : type_(Type::String), str_(std::move(s)) {}
-  Json(std::string_view s) : type_(Type::String), str_(s) {}
+  Json(const char* s) : Json(std::string(s)) {}
+  Json(std::string s) : type_(Type::String) { payload().str = std::move(s); }
+  Json(std::string_view s) : Json(std::string(s)) {}
+
+  Json(const Json& o)
+      : type_(o.type_),
+        bool_(o.bool_),
+        num_(o.num_),
+        payload_(o.payload_ ? std::make_unique<Payload>(*o.payload_)
+                            : nullptr) {}
+  Json(Json&&) noexcept = default;
+  Json& operator=(const Json& o) {
+    if (this != &o) *this = Json(o);
+    return *this;
+  }
+  Json& operator=(Json&&) noexcept = default;
 
   static Json array() {
     Json j;
@@ -47,8 +61,9 @@ class Json {
   template <typename T>
   static Json array_of(const std::vector<T>& v) {
     Json j = array();
-    j.arr_.reserve(v.size());
-    for (const auto& x : v) j.arr_.emplace_back(x);
+    auto& arr = j.payload().arr;
+    arr.reserve(v.size());
+    for (const auto& x : v) arr.emplace_back(x);
     return j;
   }
 
@@ -71,36 +86,39 @@ class Json {
   [[nodiscard]] std::int64_t as_int() const noexcept {
     return std::int64_t(num_);
   }
-  [[nodiscard]] const std::string& as_string() const noexcept { return str_; }
+  [[nodiscard]] const std::string& as_string() const noexcept {
+    return view().str;
+  }
 
   // ----- array interface -----
   void push_back(Json v) {
     type_ = Type::Array;
-    arr_.push_back(std::move(v));
+    payload().arr.push_back(std::move(v));
   }
   [[nodiscard]] std::size_t size() const noexcept {
-    return type_ == Type::Object ? obj_.size() : arr_.size();
+    return type_ == Type::Object ? view().obj.size() : view().arr.size();
   }
-  [[nodiscard]] const Json& at(std::size_t i) const { return arr_.at(i); }
+  [[nodiscard]] const Json& at(std::size_t i) const { return view().arr.at(i); }
   [[nodiscard]] const std::vector<Json>& items() const noexcept {
-    return arr_;
+    return view().arr;
   }
 
   // ----- object interface -----
   /// Insert-or-get a member; converts a null value to an object in place.
   Json& operator[](std::string_view key) {
     type_ = Type::Object;
-    for (auto& [k, v] : obj_) {
+    auto& obj = payload().obj;
+    for (auto& [k, v] : obj) {
       if (k == key) return v;
     }
-    obj_.emplace_back(std::string(key), Json());
-    return obj_.back().second;
+    obj.emplace_back(std::string(key), Json());
+    return obj.back().second;
   }
   [[nodiscard]] bool contains(std::string_view key) const noexcept {
     return find(key) != nullptr;
   }
   [[nodiscard]] const Json* find(std::string_view key) const noexcept {
-    for (const auto& [k, v] : obj_) {
+    for (const auto& [k, v] : view().obj) {
       if (k == key) return &v;
     }
     return nullptr;
@@ -108,7 +126,7 @@ class Json {
   [[nodiscard]] const Json& at(std::string_view key) const;
   [[nodiscard]] const std::vector<std::pair<std::string, Json>>& members()
       const noexcept {
-    return obj_;
+    return view().obj;
   }
 
   /// Serialize. indent < 0 emits the compact single-line form.
@@ -121,12 +139,27 @@ class Json {
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 
+  /// String, array and object contents live out of line, allocated on
+  /// first use, so the scalar nodes that make up most of a metrics
+  /// snapshot (counter values, histogram bounds and buckets) stay small.
+  struct Payload {
+    std::string str;
+    std::vector<Json> arr;
+    std::vector<std::pair<std::string, Json>> obj;
+  };
+  Payload& payload() {
+    if (!payload_) payload_ = std::make_unique<Payload>();
+    return *payload_;
+  }
+  [[nodiscard]] const Payload& view() const noexcept {
+    return payload_ ? *payload_ : empty_payload();
+  }
+  static const Payload& empty_payload() noexcept;
+
   Type type_;
   bool bool_ = false;
   double num_ = 0;
-  std::string str_;
-  std::vector<Json> arr_;
-  std::vector<std::pair<std::string, Json>> obj_;
+  std::unique_ptr<Payload> payload_;
 };
 
 }  // namespace lmas::obs

@@ -134,6 +134,26 @@ TEST(Json, ObjectsPreserveInsertionOrder) {
   EXPECT_EQ(j.members()[0].first, "z");
 }
 
+TEST(Json, CopiesAreDeepAndScalarsStayCompact) {
+  // Metric snapshots are mostly numbers; a scalar node carries no
+  // string or container storage of its own.
+  static_assert(sizeof(obs::Json) <= 3 * sizeof(double));
+  obs::Json a = obs::Json::object();
+  a["name"] = "x";
+  a["series"] = obs::Json::array_of(std::vector<double>{1, 2, 3});
+  obs::Json b = a;
+  b["name"] = "y";
+  b["series"].push_back(4);
+  EXPECT_EQ(a.dump(), R"({"name":"x","series":[1,2,3]})");
+  EXPECT_EQ(b.dump(), R"({"name":"y","series":[1,2,3,4]})");
+  a = b;
+  EXPECT_EQ(a.dump(), b.dump());
+  const obs::Json scalar = 5;
+  EXPECT_TRUE(scalar.as_string().empty());
+  EXPECT_EQ(scalar.size(), 0u);
+  EXPECT_EQ(scalar.find("k"), nullptr);
+}
+
 // ----------------------------------------------------------------- report
 
 TEST(BenchReport, WritesParsableArtifact) {
