@@ -1,6 +1,8 @@
 /// Microbenchmarks for the external-memory toolkit kernels (google-
-/// benchmark): run formation, loser-tree merge across fan-ins, alpha-way
-/// distribution, external priority queue, and raw stream scan. These are
+/// benchmark): run formation, k-way merge across fan-ins (the pull-source
+/// loser tree and the key-cached run merge), alpha-way distribution, the
+/// sampled-splitter classifier, external priority queue, and raw stream
+/// scan. These are
 /// the primitives whose per-record costs the CostModel declares; the
 /// measured host throughputs justify its constants' order of magnitude.
 
@@ -10,6 +12,7 @@
 
 #include <algorithm>
 
+#include "core/splitters.hpp"
 #include "extmem/extmem.hpp"
 #include "sim/random.hpp"
 
@@ -82,6 +85,30 @@ void BM_LoserTreeMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_LoserTreeMerge)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 
+/// The in-memory merge DSM-Sort's pass 2 runs: k sorted runs popped in
+/// packet-sized chunks.
+void BM_RunMerge(benchmark::State& state) {
+  const auto k = std::size_t(state.range(0));
+  constexpr std::size_t kPerRun = 4096;
+  constexpr std::size_t kChunk = 4096;
+  std::vector<std::vector<em::KeyRecord>> runs(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    runs[i] = random_records(kPerRun, 100 + i);
+    std::sort(runs[i].begin(), runs[i].end());
+  }
+  std::vector<em::KeyRecord> chunk(kChunk);
+  for (auto _ : state) {
+    em::RunMerge<em::KeyRecord> merge(runs);
+    while (merge.pop(chunk.data(), kChunk) != 0) {
+      benchmark::DoNotOptimize(chunk.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(k * kPerRun));
+}
+BENCHMARK(BM_RunMerge)->Arg(2)->Arg(8)->Arg(16)->Arg(32)->Arg(128);
+
 void BM_Distribute(benchmark::State& state) {
   const auto alpha = std::size_t(state.range(0));
   constexpr std::size_t kN = 1 << 18;
@@ -98,6 +125,25 @@ void BM_Distribute(benchmark::State& state) {
                           std::int64_t(kN));
 }
 BENCHMARK(BM_Distribute)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+
+/// DSM-Sort's sampled-splitter bucket search over random keys.
+void BM_SampledClassify(benchmark::State& state) {
+  const auto alpha = std::size_t(state.range(0));
+  constexpr std::size_t kN = 1 << 16;
+  const auto data = random_records(kN, 6);
+  std::vector<std::uint32_t> sample;
+  for (std::size_t i = 0; i < kN; i += 16) sample.push_back(data[i].key);
+  const auto cls = lmas::core::BucketClassifier::sampled(
+      lmas::core::choose_splitters(std::move(sample), unsigned(alpha)));
+  for (auto _ : state) {
+    std::uint64_t sum = 0;
+    for (const auto& r : data) sum += cls(r.key);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(kN));
+}
+BENCHMARK(BM_SampledClassify)->Arg(16)->Arg(256);
 
 void BM_ExternalPq(benchmark::State& state) {
   const auto hot = std::size_t(state.range(0));

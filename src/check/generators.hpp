@@ -84,6 +84,16 @@ inline core::DsmSortConfig gen_dsm_config(sim::Rng& rng, unsigned size) {
   cfg.sort_router = kRouters[rng.below(std::size(kRouters))];
   cfg.run_merge_pass = rng.below(4) == 0;
   cfg.seed = rng.next();
+  if (cfg.run_merge_pass) {
+    // Merge shapes (gamma1 = 1 ships runs as-is, gamma2_max forces host
+    // pre-merges) come from a stream of their own off the seed, so
+    // drawing them moves no draw of `rng`.
+    sim::Rng shape = sim::Rng(cfg.seed).stream(sim::stream_id("merge-shape"));
+    constexpr unsigned kGamma1[] = {0, 1, 2, 3};
+    constexpr unsigned kGamma2Max[] = {0, 2, 3, 5};
+    cfg.gamma1 = kGamma1[shape.below(std::size(kGamma1))];
+    cfg.gamma2_max = kGamma2Max[shape.below(std::size(kGamma2Max))];
+  }
   return cfg;
 }
 

@@ -39,7 +39,8 @@ std::string fmt(const char* f, ...) {
 std::string cfg_str(const asu::MachineParams& mp,
                     const core::DsmSortConfig& cfg) {
   return fmt("H=%u D=%u c=%.0f n=%zu alpha=%u K=2^%u dist=%s router=%s "
-             "splitters=%s asus=%d merge=%d seed=0x%llx",
+             "splitters=%s asus=%d merge=%d gamma1=%u gamma2_max=%u "
+             "seed=0x%llx",
              mp.num_hosts, mp.num_asus, mp.c, cfg.total_records, cfg.alpha,
              cfg.log2_alpha_beta, core::key_dist_name(cfg.key_dist),
              core::router_kind_name(cfg.sort_router),
@@ -47,6 +48,7 @@ std::string cfg_str(const asu::MachineParams& mp,
                  ? "range"
                  : "sampled",
              int(cfg.distribute_on_asus), int(cfg.run_merge_pass),
+             cfg.gamma1, cfg.gamma2_max,
              static_cast<unsigned long long>(cfg.seed));
 }
 

@@ -1007,25 +1007,36 @@ class DsmSortSim {
         for (const auto r : runs) bytes += r.size() * mp_.record_bytes;
         co_await node.disk().read(bytes);
 
-        if (cfg_.gamma1 == 1 || runs.size() == 1) {
-          // No ASU-side merge: ship runs as-is (hosts take full fan-in).
-          for (const auto r : runs) {
-            co_await ship_run(node, s, next_run_id++, r);
-          }
-        } else {
-          const std::size_t g =
-              cfg_.gamma1 == 0 ? runs.size()
-                               : std::min<std::size_t>(cfg_.gamma1,
-                                                       runs.size());
-          for (std::size_t base = 0; base < runs.size(); base += g) {
-            const std::size_t cnt = std::min(g, runs.size() - base);
-            const auto merged = em::merge_runs<em::KeyRecord>(
-                std::span(runs).subspan(base, cnt));
+        // gamma1 == 1 or a lone run: ship the runs as-is (uncharged
+        // one-run merges; hosts take the full fan-in). Otherwise groups
+        // of gamma1 runs (0 = all) merge on the ASU.
+        const bool as_is = cfg_.gamma1 == 1 || runs.size() == 1;
+        const std::size_t g =
+            as_is ? 1
+            : cfg_.gamma1 == 0
+                ? runs.size()
+                : std::min<std::size_t>(cfg_.gamma1, runs.size());
+        for (std::size_t base = 0; base < runs.size(); base += g) {
+          const std::size_t cnt = std::min(g, runs.size() - base);
+          em::RunMerge<em::KeyRecord> merge{
+              std::span(runs).subspan(base, cnt)};
+          if (!as_is) {
             co_await node.compute(
-                double(merged.size()) *
+                double(merge.size()) *
                 mp_.cost.merge_per_record(unsigned(cnt), /*on_asu=*/true));
-            co_await ship_run(node, s, next_run_id++, merged);
           }
+          // The merge streams straight into the packets it ships.
+          for (std::uint32_t seq = 0; !merge.empty(); ++seq) {
+            Packet out;
+            out.subset = s;
+            out.run_id = next_run_id;
+            out.seq = seq;
+            out.sorted = true;
+            out.records = to_host_merge_->pool().acquire(packet_records_);
+            merge.pop(out.records, packet_records_);
+            co_await to_host_merge_->emit(node, std::move(out));
+          }
+          ++next_run_id;
         }
       }
       // Per-subset completion marker so hosts can merge s immediately.
@@ -1035,27 +1046,6 @@ class DsmSortSim {
       co_await to_host_merge_->emit(node, std::move(marker));
     }
     to_host_merge_->producer_done();
-  }
-
-  sim::Task<> ship_run(asu_ns::Node& node, std::uint32_t subset,
-                       std::uint32_t run_id,
-                       std::span<const em::KeyRecord> records) {
-    std::size_t off = 0;
-    std::uint32_t seq = 0;
-    while (off < records.size()) {
-      const std::size_t n =
-          std::min(packet_records_, records.size() - off);
-      Packet out;
-      out.subset = subset;
-      out.run_id = run_id;
-      out.seq = seq++;
-      out.sorted = true;
-      out.records = to_host_merge_->pool().acquire(n);
-      out.records.assign(records.begin() + std::ptrdiff_t(off),
-                         records.begin() + std::ptrdiff_t(off + n));
-      off += n;
-      co_await to_host_merge_->emit(node, std::move(out));
-    }
   }
 
   sim::Task<> host_merge_instance(unsigned hh) {
@@ -1112,9 +1102,7 @@ class DsmSortSim {
           continue;
         }
         auto merged = em::merge_runs<em::KeyRecord>(
-            std::vector<std::span<const em::KeyRecord>>(
-                work.begin() + std::ptrdiff_t(base),
-                work.begin() + std::ptrdiff_t(base + cnt)));
+            std::span(work).subspan(base, cnt));
         co_await node.compute(
             double(merged.size()) *
             mp_.cost.merge_per_record(unsigned(cnt), /*on_asu=*/false));
@@ -1125,40 +1113,31 @@ class DsmSortSim {
 
     // The final merge streams into packets: the subset is never held twice.
     const unsigned gamma2 = unsigned(work.size());
-    em::RunMerge<em::KeyRecord> tree(
-        std::vector<em::RunCursor<em::KeyRecord>>(work.begin(), work.end()));
+    em::RunMerge<em::KeyRecord> merge(work);
     const double per_rec =
         mp_.cost.merge_per_record(gamma2, /*on_asu=*/false);
-
-    SubsetBounds bounds;
-    std::uint32_t prev_key = 0;
-    bool first = true;
-    std::uint32_t seq = 0;
-    while (true) {
+    SubsetBounds& bounds = subset_bounds_[subset];
+    for (std::uint32_t seq = 0; !merge.empty(); ++seq) {
       Packet out;
       out.subset = subset;
-      out.seq = seq++;
+      out.seq = seq;
       out.sorted = true;
       out.records = to_final_store_->pool().acquire(packet_records_);
-      while (out.records.size() < packet_records_) {
-        auto r = tree.next();
-        if (!r) break;
-        if (!first && r->key < prev_key) final_sorted_ok_ = false;
-        prev_key = r->key;
-        first = false;
-        if (bounds.count == 0) bounds.min_key = r->key;
-        bounds.max_key = r->key;
-        ++bounds.count;
-        out.records.push_back(*r);
+      merge.pop(out.records, packet_records_);
+      // One sweep per packet checks the order across the whole subset.
+      std::uint32_t prev = bounds.count == 0 ? 0 : bounds.max_key;
+      std::size_t descents = 0;
+      for (const auto& r : out.records) {
+        descents += r.key < prev;
+        prev = r.key;
       }
-      if (out.records.empty()) {
-        to_final_store_->pool().release(std::move(out.records));
-        break;
-      }
+      if (descents != 0) final_sorted_ok_ = false;
+      if (bounds.count == 0) bounds.min_key = out.records.front().key;
+      bounds.max_key = prev;
+      bounds.count += out.records.size();
       co_await node.compute(double(out.records.size()) * per_rec);
       co_await to_final_store_->emit(node, std::move(out));
     }
-    subset_bounds_[subset] = bounds;
   }
 
   sim::Task<> final_store_instance(unsigned a) {

@@ -59,7 +59,11 @@ class SplitterClassifier {
 /// DSM-Sort's distribute classifier as a plain value, so the per-record
 /// call inlines: either the equal-width range split of the 32-bit key
 /// space (em::RangeClassifier over [0, UINT32_MAX)) or sampled splitters
-/// (SplitterClassifier's buckets, found by a branch-free binary search).
+/// (SplitterClassifier's buckets). The sampled search runs a fixed number
+/// of masked steps: the splitters are padded with UINT32_MAX to 2^d - 1
+/// entries, so every key takes exactly d compares and no step branches on
+/// the data. A pad is >= every key, so it never counts below one and the
+/// answer stays within [0, splitters].
 class BucketClassifier {
  public:
   /// Equal-width split of the whole key space into `alpha` buckets.
@@ -75,17 +79,14 @@ class BucketClassifier {
 
   [[nodiscard]] std::uint32_t operator()(std::uint32_t key) const noexcept {
     if (!sampled_) return std::uint32_t(range_(em::KeyRecord{key, 0}));
-    // Branch-free lower_bound: the answer stays within [base, base + len]
-    // while each step halves len.
-    const std::uint32_t* base = splitters_.data();
-    std::size_t len = splitters_.size();
-    if (len == 0) return 0;
-    while (len > 1) {
-      const std::size_t half = len / 2;
-      base += base[half - 1] < key ? half : 0;
-      len -= half;
+    // Uniform binary search over 2^d - 1 entries: `base` counts the
+    // entries below `key`, settled one power of two at a time.
+    const std::uint32_t* const b = padded_.data();
+    std::size_t base = 0;
+    for (std::size_t half = top_; half > 0; half /= 2) {
+      base += -std::size_t(b[base + half - 1] < key) & half;
     }
-    return std::uint32_t(base - splitters_.data()) + (*base < key ? 1u : 0u);
+    return std::uint32_t(base);
   }
 
  private:
@@ -93,11 +94,17 @@ class BucketClassifier {
                    std::vector<std::uint32_t> splitters)
       : range_(0, std::uint32_t(-1), std::max(1u, alpha)),
         sampled_(sampled),
-        splitters_(std::move(splitters)) {}
+        padded_(std::move(splitters)) {
+    std::size_t size = 0;  // 2^d - 1
+    while (size < padded_.size()) size = 2 * size + 1;
+    padded_.resize(size, UINT32_MAX);
+    top_ = (size + 1) / 2;
+  }
 
   em::RangeClassifier<std::uint32_t> range_;
   bool sampled_;
-  std::vector<std::uint32_t> splitters_;
+  std::vector<std::uint32_t> padded_;  // splitters + UINT32_MAX pads
+  std::size_t top_ = 0;                // first step 2^(d-1); 0 when d = 0
 };
 
 }  // namespace lmas::core

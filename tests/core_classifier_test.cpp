@@ -102,6 +102,35 @@ TEST(BucketClassifier, NoSplittersMeansOneBucket) {
   EXPECT_EQ(fast(kMax), 0u);
 }
 
+TEST(BucketClassifier, SampledSearchEqualsLowerBoundAtEveryAlpha) {
+  // Every splitter count from 0 to 299, so the UINT32_MAX padding to
+  // 2^d - 1 entries is exercised at every non-power of two, with
+  // splitter sets that start at 0 and end at UINT32_MAX.
+  Rng rng(7);
+  for (unsigned alpha = 1; alpha <= 300; ++alpha) {
+    SCOPED_TRACE(alpha);
+    std::vector<std::uint32_t> random(alpha - 1);
+    for (auto& k : random) k = std::uint32_t(rng.next());
+    std::sort(random.begin(), random.end());
+    auto ends = random;
+    if (!ends.empty()) {
+      ends.front() = 0;
+      ends.back() = kMax;
+    }
+    std::vector<std::uint32_t> lows(alpha - 1, 0);
+    std::vector<std::uint32_t> highs(alpha - 1, kMax);
+    for (const auto* splitters : {&random, &ends, &lows, &highs}) {
+      const auto fast = core::BucketClassifier::sampled(*splitters);
+      for (auto key : around(*splitters)) {
+        const auto want = std::uint32_t(
+            std::lower_bound(splitters->begin(), splitters->end(), key) -
+            splitters->begin());
+        ASSERT_EQ(fast(key), want) << "key " << key;
+      }
+    }
+  }
+}
+
 TEST(BucketClassifier, MonotoneInTheKey) {
   // DSM-Sort's run validation relies on this: a sorted run lies in one
   // bucket iff its first and last records do.

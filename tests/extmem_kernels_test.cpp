@@ -1,5 +1,6 @@
 // Record kernels of DSM-Sort's data path: the stable radix run former and
-// the cursor k-way merge, each checked against an independent reference.
+// the key-cached k-way run merge, each checked against an independent
+// reference.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +8,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <ranges>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/workload.hpp"
@@ -123,9 +126,9 @@ TEST(RadixSort, ReusedScratchIsCallerOwned) {
   EXPECT_GE(scratch.capacity(), 16384u);
 }
 
-// ---------- cursor k-way merge ----------
+// ---------- k-way run merge ----------
 
-/// The k-way merge DSM-Sort used before the cursor tree: a binary heap
+/// The k-way merge DSM-Sort used before the tournament trees: a binary heap
 /// of source indices over std::function sources, ties to the lower
 /// source index. Kept here as the oracle the new merge must reproduce.
 Records heap_merge(const std::vector<Records>& runs) {
@@ -177,6 +180,31 @@ Records heap_merge(const std::vector<Records>& runs) {
 Records cursor_merge(const std::vector<Records>& runs) {
   std::vector<std::span<const em::KeyRecord>> views(runs.begin(), runs.end());
   return em::merge_runs<em::KeyRecord>(views);
+}
+
+/// RunMerge drained in chunks of `chunk` records, alternating the two
+/// pop overloads.
+Records chunked_merge(const std::vector<Records>& runs, std::size_t chunk) {
+  em::RunMerge<em::KeyRecord> merge(runs);
+  Records out;
+  std::size_t total = 0;
+  for (const auto& run : runs) total += run.size();
+  EXPECT_EQ(merge.size(), total);
+  for (bool raw = false; !merge.empty(); raw = !raw) {
+    const std::size_t before = merge.size();
+    std::size_t n = 0;
+    if (raw) {
+      Records buf(chunk);
+      n = merge.pop(buf.data(), chunk);
+      out.insert(out.end(), buf.begin(), buf.begin() + std::ptrdiff_t(n));
+    } else {
+      n = merge.pop(out, chunk);
+    }
+    EXPECT_EQ(n, std::min(chunk, before));
+    EXPECT_EQ(merge.size(), before - n);
+  }
+  EXPECT_EQ(merge.pop(out, chunk), 0u);
+  return out;
 }
 
 Records pull_merge(const std::vector<Records>& runs) {
@@ -253,6 +281,47 @@ TEST(CursorMerge, OutputIsTheStableSortOfTheConcatenation) {
   Records concat;
   for (const auto& run : runs) concat.insert(concat.end(), run.begin(), run.end());
   EXPECT_EQ(cursor_merge(runs), stable_sorted(concat));
+}
+
+TEST(RunMerge, ChunkedPopsEqualOneShotMergeAndHeapOracle) {
+  for (std::size_t k : {1u, 2u, 5u, 16u, 33u}) {
+    SCOPED_TRACE(k);
+    const auto runs = tied_runs(k, 900, 64, 60 + k);
+    const Records want = heap_merge(runs);
+    ASSERT_EQ(cursor_merge(runs), want);
+    for (std::size_t chunk : {1u, 7u, 4096u}) {
+      SCOPED_TRACE(chunk);
+      EXPECT_EQ(chunked_merge(runs, chunk), want);
+    }
+  }
+}
+
+TEST(RunMerge, MaxKeysAreNotTakenForExhaustedRuns) {
+  // UINT32_MAX keys sit next to the exhausted-run sentinel: they must
+  // still all come out, in run order, interleaved with smaller keys.
+  constexpr std::uint32_t kMax = 0xffffffffu;
+  const std::vector<Records> only_max = {
+      {{kMax, 0}, {kMax, 1}}, {{kMax, 2}}, {}, {{kMax, 3}, {kMax, 4}}};
+  const Records want = {{kMax, 0}, {kMax, 1}, {kMax, 2}, {kMax, 3}, {kMax, 4}};
+  EXPECT_EQ(cursor_merge(only_max), want);
+  EXPECT_EQ(chunked_merge(only_max, 1), want);
+  EXPECT_EQ(heap_merge(only_max), want);
+
+  const std::vector<Records> mixed = {
+      {{0, 0}, {kMax, 1}}, {{kMax, 2}}, {{kMax - 1, 3}, {kMax, 4}}, {{0, 5}}};
+  EXPECT_EQ(cursor_merge(mixed), heap_merge(mixed));
+  EXPECT_EQ(chunked_merge(mixed, 7), heap_merge(mixed));
+  EXPECT_EQ(cursor_merge(mixed).size(), 6u);
+}
+
+TEST(RunMerge, FanInBeyondThe32BitSourceFieldThrows) {
+  // A sized range of empty runs: nothing is allocated for them.
+  constexpr std::size_t kTooMany = em::RunMerge<em::KeyRecord>::kMaxFanIn + 1;
+  const auto too_many =
+      std::views::iota(std::size_t{0}, kTooMany) |
+      std::views::transform(
+          [](std::size_t) { return std::span<const em::KeyRecord>{}; });
+  EXPECT_THROW(em::RunMerge<em::KeyRecord>{too_many}, std::length_error);
 }
 
 }  // namespace
