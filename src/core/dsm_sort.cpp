@@ -106,11 +106,11 @@ class DsmSortSim {
     }
     rep.makespan = eng_.now();
     if (job_hist_ != nullptr) job_hist_->observe(rep.makespan);
-    if (monitor_) {
-      rep.peak_host_imbalance = monitor_->peak_host_imbalance();
-      rep.mean_host_imbalance = monitor_->mean_host_imbalance();
+    if (lm_.monitor) {
+      rep.peak_host_imbalance = lm_.monitor->peak_host_imbalance();
+      rep.mean_host_imbalance = lm_.monitor->mean_host_imbalance();
     }
-    if (manager_) {
+    if (manager_ != nullptr) {
       rep.lm_managed = true;
       rep.lm_migrations = manager_->migrations();
       rep.lm_router_switches = manager_->router_switches();
@@ -167,21 +167,22 @@ class DsmSortSim {
 
   [[nodiscard]] bool job_finished() const noexcept { return finished_flag_; }
   [[nodiscard]] const DsmSortReport& job_report() const { return rep_; }
-  [[nodiscard]] SwitchableRouter* job_switch_router() const noexcept {
-    return switch_router_;
-  }
-  [[nodiscard]] std::vector<asu_ns::Node*> job_sort_placement() {
-    return host_nodes_vec();
-  }
-  void set_external_manager(LoadManager* manager, std::size_t client) {
-    ext_manager_ = manager;
-    ext_client_ = client;
-    // Declare each sort instance's migration economics to the shared
-    // arbiter. Must run after the scheduler's client_instances() call
-    // (which resets declarations), which the wiring order guarantees.
+
+  /// Register this program with `manager` as one client labeled `label`:
+  /// its switchable sort router (if built), its sort instances (one per
+  /// host; any host is a candidate destination) and each instance's
+  /// migration economics (live staged records and wire cost, so the
+  /// placer can price moves and pick pre-copy vs stop-copy). The
+  /// migration consult points then follow this client's plans.
+  std::size_t attach_manager(LoadManager& manager, const std::string& label) {
+    manager_ = &manager;
+    client_ = manager.add_client(label);
+    manager.client_router(client_, switch_router_);
+    manager.client_instances(client_, host_nodes_vec(), host_nodes_vec());
     for (unsigned hh = 0; hh < h_; ++hh) {
-      manager->declare_instance(client, hh, sort_declaration(hh));
+      manager.declare_instance(client_, hh, sort_declaration(hh));
     }
+    return client_;
   }
 
  private:
@@ -277,7 +278,7 @@ class DsmSortSim {
     auto sort_stream = sim::Rng(cfg_.seed).stream(sim::stream_id("routing.sort"));
     std::unique_ptr<RoutingPolicy> sort_router;
     if (cfg_.load_manager.mode == LoadManagerMode::Manage &&
-        cfg_.load_manager.router_swap && cfg_.distribute_on_asus) {
+        cfg_.distribute_on_asus) {
       auto switchable = std::make_unique<SwitchableRouter>(
           make_router({.kind = sort_kind,
                        .rng = sort_stream,
@@ -349,8 +350,7 @@ class DsmSortSim {
       store_hist_ = &reg.latency(pfx("store.packet_seconds"));
       phase_hist_ = &reg.latency(pfx("dsm.phase_seconds"));
       job_hist_ = &reg.latency(pfx("dsm.job_seconds"));
-      if (cfg_.load_manager.mode == LoadManagerMode::Manage &&
-          cfg_.load_manager.migration) {
+      if (cfg_.load_manager.mode == LoadManagerMode::Manage) {
         migration_hist_ = &reg.latency(pfx("lm.migration_seconds"));
       }
     }
@@ -380,36 +380,13 @@ class DsmSortSim {
     }
   }
 
-  /// Standalone only: the in-sim monitor/manager pair and the passive
+  /// Standalone only: the load-management layer and the passive
   /// sampler. Embedded jobs skip this whole layer — the scheduler runs
   /// one shared monitor + cross-job manager for the cluster.
   void attach_management() {
-    // Load-management layer: like the fault layer, constructed only when
-    // asked for, so Off-mode runs schedule no sampling events and
-    // register no lm metrics (digest neutrality for the pinned goldens).
-    if (cfg_.load_manager.mode != LoadManagerMode::Off) {
-      monitor_ =
-          std::make_unique<LoadMonitor>(cluster_, cfg_.load_manager.period);
-      if (cfg_.load_manager.mode == LoadManagerMode::Manage) {
-        manager_ = std::make_unique<LoadManager>(eng_, cfg_.load_manager);
-        if (switch_router_ != nullptr) {
-          manager_->manage_router(switch_router_);
-        }
-        if (cfg_.load_manager.migration) {
-          // Sort instances (one per host) may migrate; any host is a
-          // candidate destination. Each declares its live working set
-          // (staged records) and wire cost so the placer can price
-          // moves and pick pre-copy vs stop-copy.
-          manager_->manage_instances(host_nodes_vec(), host_nodes_vec());
-          for (unsigned hh = 0; hh < h_; ++hh) {
-            manager_->declare_instance(hh, sort_declaration(hh));
-          }
-        }
-        monitor_->set_observer(
-            [this](const LoadSample& s) { manager_->on_sample(s); });
-      }
-      monitor_->start(cfg_.load_manager.max_samples);
-    }
+    lm_ = start_load_management(cluster_, cfg_.load_manager,
+                                /*stop_when_idle=*/true);
+    if (lm_.manager) attach_manager(*lm_.manager, "");
 
     // Sim-time series: a passive sampler driven from the engine's run
     // loop (see Engine::set_sampler), NOT a scheduled process — a
@@ -519,7 +496,6 @@ class DsmSortSim {
     decl.working_set_bytes = [this, hh] {
       return sort_staged_records_[hh] * mp_.record_bytes;
     };
-    decl.overhead_bytes = kMigrationOverheadBytes;
     decl.wire_seconds_per_byte =
         2.0 / mp_.host_nic_bandwidth + 1.0 / mp_.link_bandwidth;
     decl.dirty_fraction = kPrecopyDirtyFraction;
@@ -683,11 +659,8 @@ class DsmSortSim {
       // exactly its staged records, so that is what the move ships (plus
       // the fixed control/context overhead). Packets already in flight
       // complete against the old location's accounting.
-      if (manager_ != nullptr || ext_manager_ != nullptr) {
-        const MigrationPlan& plan =
-            manager_ != nullptr
-                ? manager_->migration_plan(hh)
-                : ext_manager_->migration_plan(ext_client_, hh);
+      if (manager_ != nullptr) {
+        const MigrationPlan& plan = manager_->migration_plan(client_, hh);
         asu_ns::Node* target = plan.to;
         if (target != nullptr && target != node) {
           std::size_t staged = 0;
@@ -726,11 +699,7 @@ class DsmSortSim {
                 cluster_.topology().rack_of_host(unsigned(target->id()));
           }
           to_sort_->set_target_node(hh, *target);
-          if (manager_ != nullptr) {
-            manager_->migration_performed(hh, *target);
-          } else {
-            ext_manager_->migration_performed(ext_client_, hh, *target);
-          }
+          manager_->migration_performed(client_, hh, *target);
         }
       }
       const std::uint64_t parent_flow = p->trace_id;
@@ -1259,8 +1228,11 @@ class DsmSortSim {
   bool final_sorted_ok_ = true;
   std::uint32_t dsm_track_ = 0;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<LoadMonitor> monitor_;
-  std::unique_ptr<LoadManager> manager_;
+  LoadManagement lm_;  // standalone only
+  /// The manager this program is a client of (standalone: lm_'s own;
+  /// embedded: the scheduler's shared one), or nullptr when unmanaged.
+  LoadManager* manager_ = nullptr;
+  std::size_t client_ = 0;
   std::unique_ptr<obs::Sampler> sampler_;
   obs::LatencyHistogram* sort_hist_ = nullptr;
   obs::LatencyHistogram* store_hist_ = nullptr;
@@ -1279,8 +1251,6 @@ class DsmSortSim {
   std::size_t total_instances_ = 0;
   std::size_t finished_instances_ = 0;
   sim::Condition job_done_{eng_};
-  LoadManager* ext_manager_ = nullptr;  // shared cross-job arbiter
-  std::size_t ext_client_ = 0;
   DsmSortReport rep_;
   bool finished_flag_ = false;
 };
@@ -1307,17 +1277,9 @@ const DsmSortReport& DsmSortJob::report() const {
   return sim_->job_report();
 }
 
-SwitchableRouter* DsmSortJob::switch_router() const {
-  return sim_->job_switch_router();
-}
-
-std::vector<asu::Node*> DsmSortJob::sort_placement() const {
-  return sim_->job_sort_placement();
-}
-
-void DsmSortJob::set_external_manager(LoadManager* manager,
-                                      std::size_t client) {
-  sim_->set_external_manager(manager, client);
+std::size_t DsmSortJob::attach_manager(LoadManager& manager,
+                                       const std::string& label) {
+  return sim_->attach_manager(manager, label);
 }
 
 obs::Json dsm_report_to_json(const DsmSortReport& rep) {
@@ -1338,34 +1300,7 @@ obs::Json dsm_report_to_json(const DsmSortReport& rep) {
   j["mean_host_imbalance"] = rep.mean_host_imbalance;
   j["lm_migrations"] = rep.lm_migrations;
   j["lm_router_switches"] = rep.lm_router_switches;
-  obs::Json lm_events = obs::Json::array();
-  for (const auto& e : rep.lm_events) {
-    obs::Json entry = obs::Json::object();
-    entry["time"] = e.time;
-    entry["what"] = e.what;
-    lm_events.push_back(std::move(entry));
-  }
-  j["lm_events"] = std::move(lm_events);
-  // The placer decision journal is present iff the run constructed a
-  // manager (config-driven: mode == Manage), so serial and parallel
-  // sweeps emit identically shaped artifacts.
-  if (rep.lm_managed) {
-    obs::Json placer = obs::Json::array();
-    for (const auto& d : rep.lm_decisions) {
-      obs::Json entry = obs::Json::object();
-      entry["time"] = d.time;
-      entry["client"] = d.client;
-      entry["instance"] = d.instance;
-      entry["from"] = d.from;
-      entry["to"] = d.to;
-      entry["mode"] = std::string(migration_mode_name(d.mode));
-      entry["bytes"] = d.bytes;
-      entry["est_stall_seconds"] = d.est_stall;
-      entry["gain_seconds"] = d.gain;
-      placer.push_back(std::move(entry));
-    }
-    j["placer"] = std::move(placer);
-  }
+  lm_journal_to_json(j, rep.lm_events, rep.lm_managed, rep.lm_decisions);
   obs::Json util = obs::Json::object();
   const auto add_nodes = [&](const std::vector<NodeUtilization>& nodes) {
     for (const auto& n : nodes) {

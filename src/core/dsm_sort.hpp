@@ -284,18 +284,13 @@ class DsmSortJob {
   /// belong to the shared engine's owner.
   [[nodiscard]] const DsmSortReport& report() const;
 
-  /// The job's switchable sort router (nullptr unless built with mode
-  /// Manage + router_swap + distribute_on_asus), for registration with
-  /// a shared LoadManager client.
-  [[nodiscard]] SwitchableRouter* switch_router() const;
-
-  /// Initial placement of the sort instances (hosts 0..H-1), matching
-  /// the instance indexing LoadManager::client_instances expects.
-  [[nodiscard]] std::vector<asu::Node*> sort_placement() const;
-
-  /// Wire this job's migration consult points to a shared cross-job
-  /// LoadManager client (plan → consult → confirm, per client).
-  void set_external_manager(LoadManager* manager, std::size_t client);
+  /// Register the job with a shared cross-job LoadManager as one client
+  /// labeled `label`: its switchable sort router (built under mode
+  /// Manage), its sort instances and their migration declarations. The
+  /// job's migration consult points then follow that client's plans
+  /// (plan → consult → confirm). Returns the client id; call before
+  /// spawning body().
+  std::size_t attach_manager(LoadManager& manager, const std::string& label);
 
  private:
   std::unique_ptr<DsmSortSim> sim_;

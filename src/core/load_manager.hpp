@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -11,6 +12,7 @@
 
 #include "asu/network.hpp"
 #include "core/routing.hpp"
+#include "obs/json.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 
@@ -30,13 +32,6 @@ struct LoadSample {
   /// delta integrates over the whole window and cannot miss bursts.
   std::vector<double> host_offered;
   std::vector<double> asu_offered;
-  /// Effective work-drain rate per node (relative speed times the current
-  /// fault rate-scale), published for diagnosis. Charges are already
-  /// expressed in wall-seconds on each node's own CPU — a slow or
-  /// degraded node accrues proportionally more backlog/offered seconds
-  /// for the same records — so load comparisons need no rate division.
-  std::vector<double> host_rate;
-  std::vector<double> asu_rate;
 
   /// The decision signal: queued work plus work accepted this window, in
   /// wall-seconds per node. Offered entries are optional (hand-built
@@ -103,29 +98,30 @@ class LoadMonitor {
   LoadMonitor(asu::Cluster& cluster, double period_seconds = 0.05)
       : cluster_(&cluster), period_(period_seconds) {}
 
-  /// Spawn the sampling process; it runs until the engine drains (it
-  /// samples only while other work is pending, so it cannot keep the
-  /// simulation alive by itself... which a periodic task would; instead
-  /// it stops after `max_samples`).
+  /// Sampling budget: the process exits after this many ticks whatever
+  /// the workload is doing. Long open-arrival runs with a short period
+  /// can reach it (perfbench's tenancy-open does, late in its first
+  /// seed's run); the rest of such a run is neither sampled nor managed.
+  static constexpr std::size_t kMaxSamples = 10000;
+
+  /// Spawn the sampling process. By default it also stops by itself once
+  /// the workload has drained (two consecutive all-idle samples after
+  /// any work), so it never keeps the event queue alive on its own.
   ///
-  /// `stop_when_idle = false` disables the two-consecutive-idle auto-stop
-  /// for open-arrival workloads, where quiescent gaps between job
-  /// arrivals are normal and stopping inside one would blind the manager
-  /// to every later job. Such a monitor keeps the event queue alive, so
-  /// its owner MUST call request_stop() once the workload is known to be
-  /// complete (the multi-tenant scheduler does this after the last job).
-  void start(std::size_t max_samples = 10000, bool stop_when_idle = true) {
+  /// `stop_when_idle = false` disables that auto-stop for open-arrival
+  /// workloads, where quiescent gaps between job arrivals are normal and
+  /// stopping inside one would blind the manager to every later job.
+  /// Such a monitor keeps the event queue alive, so its owner MUST call
+  /// request_stop() once the workload is known to be complete (the
+  /// multi-tenant scheduler does this after the last job).
+  void start(bool stop_when_idle = true) {
     stop_when_idle_ = stop_when_idle;
-    cluster_->engine().spawn(run(max_samples), "load-monitor");
+    cluster_->engine().spawn(run(), "load-monitor");
   }
 
   /// Ask the sampling process to exit at its next tick (open-arrival
   /// mode; see start()). Safe to call multiple times or before start.
   void request_stop() noexcept { stop_requested_ = true; }
-
-  [[nodiscard]] const std::vector<LoadSample>& samples() const noexcept {
-    return samples_;
-  }
 
   /// Deliver every sample, as it is taken, to one downstream consumer —
   /// the LoadManager's decision loop plugs in here. Called after the
@@ -139,41 +135,33 @@ class LoadMonitor {
   /// saturates easily — one window where a single host drains the last
   /// run while the others sit idle reads as imbalance 1.0 — so pair it
   /// with mean_host_imbalance when comparing runs.
-  [[nodiscard]] double peak_host_imbalance() const {
-    double peak = 0;
-    for (const auto& s : samples_) peak = std::max(peak, s.host_imbalance());
-    return peak;
+  [[nodiscard]] double peak_host_imbalance() const noexcept {
+    return peak_imbalance_;
   }
 
   /// Mean host imbalance over *actionable* windows: samples where the
-  /// busiest host's load is at least `min_load_factor` of the sampling
-  /// window (the same floor the manager applies — imbalance ratios over
-  /// a near-idle cluster are noise). This is the figure of merit for
+  /// busiest host's load is at least kActionableLoad of the sampling
+  /// window (the manager's default floor — imbalance ratios over a
+  /// near-idle cluster are noise). This is the figure of merit for
   /// managed-vs-unmanaged comparisons: the manager cannot avoid the
   /// short hot streaks that *trigger* its actions (so the peak stays
   /// high in both runs), but it shrinks how long they last.
-  [[nodiscard]] double mean_host_imbalance(
-      double min_load_factor = 0.05) const {
-    double sum = 0;
-    std::size_t n = 0;
-    for (const auto& s : samples_) {
-      const auto load = s.host_load();
-      if (load.empty()) continue;
-      const double w = s.period > 0 ? s.period : period_;
-      const double peak = *std::max_element(load.begin(), load.end());
-      if (peak / (w > 0 ? w : 1.0) < min_load_factor) continue;
-      sum += s.host_imbalance();
-      ++n;
-    }
-    return n == 0 ? 0 : sum / double(n);
+  [[nodiscard]] double mean_host_imbalance() const noexcept {
+    return actionable_windows_ == 0
+               ? 0
+               : actionable_imbalance_sum_ / double(actionable_windows_);
   }
 
+  /// Load floor of mean_host_imbalance's actionable windows, in
+  /// utilization units (LoadManagerConfig::min_actionable_load's
+  /// default).
+  static constexpr double kActionableLoad = 0.05;
+
  private:
-  sim::Task<> run(std::size_t max_samples) {
+  sim::Task<> run() {
     // Publish every sample into the engine's registry (and, when tracing,
     // as Chrome counter events) so routing decisions and bench artifacts
-    // see the same backlog signal the manager acts on. The private
-    // samples() vector stays as the compatibility accessor.
+    // see the same backlog signal the manager acts on.
     sim::Engine& eng = cluster_->engine();
     std::vector<lmas::obs::Gauge*> host_gauges, asu_gauges;
     std::vector<lmas::obs::Gauge*> host_pressure, asu_pressure;
@@ -216,7 +204,7 @@ class LoadMonitor {
       asu_service_base.push_back(cluster_->asu(a).cpu().total_service());
     }
 
-    for (std::size_t i = 0; i < max_samples; ++i) {
+    for (std::size_t i = 0; i < kMaxSamples; ++i) {
       co_await eng.sleep(period_);
       if (stop_requested_) break;
       LoadSample s;
@@ -234,7 +222,6 @@ class LoadMonitor {
         s.host_backlog.push_back(b);
         s.host_offered.push_back(offered);
         host_service_base[h] = total;
-        s.host_rate.push_back(n.speed() * n.cpu().rate_scale());
         host_gauges[h]->set(b);
         host_pressure[h]->set((b + offered) / win);
       }
@@ -246,11 +233,19 @@ class LoadMonitor {
         s.asu_backlog.push_back(b);
         s.asu_offered.push_back(offered);
         asu_service_base[a] = total;
-        s.asu_rate.push_back(n.speed() * n.cpu().rate_scale());
         asu_gauges[a]->set(b);
         asu_pressure[a]->set((b + offered) / win);
       }
-      imbalance_gauge.set(s.host_imbalance());
+      const auto host_load = s.host_load();
+      const double imbalance = LoadSample::imbalance(host_load);
+      imbalance_gauge.set(imbalance);
+      peak_imbalance_ = std::max(peak_imbalance_, imbalance);
+      if (!host_load.empty() &&
+          *std::max_element(host_load.begin(), host_load.end()) / win >=
+              kActionableLoad) {
+        actionable_imbalance_sum_ += imbalance;
+        ++actionable_windows_;
+      }
       if (rack_imbalance_gauge != nullptr) {
         const auto racks = s.rack_load(topo);
         for (unsigned r = 0; r < topo.racks; ++r) {
@@ -274,9 +269,8 @@ class LoadMonitor {
         return std::all_of(v.begin(), v.end(),
                            [](double x) { return x <= 0; });
       };
-      const bool all_idle = idle(s.host_load()) && idle(s.asu_load());
-      samples_.push_back(std::move(s));
-      if (observer_) observer_(samples_.back());
+      const bool all_idle = idle(host_load) && idle(s.asu_load());
+      if (observer_) observer_(s);
       // Two consecutive all-idle samples after any work: the workload has
       // drained; stop so the monitor does not keep the event queue alive
       // forever. A single idle sample is not enough — DSM-Sort-style
@@ -293,8 +287,10 @@ class LoadMonitor {
 
   asu::Cluster* cluster_;
   double period_;
-  std::vector<LoadSample> samples_;
   std::function<void(const LoadSample&)> observer_;
+  double peak_imbalance_ = 0;
+  double actionable_imbalance_sum_ = 0;
+  std::size_t actionable_windows_ = 0;
   bool saw_work_ = false;
   bool stop_when_idle_ = true;
   bool stop_requested_ = false;
@@ -318,6 +314,12 @@ inline const char* migration_mode_name(MigrationMode m) noexcept {
   return m == MigrationMode::PreCopy ? "pre-copy" : "stop-copy";
 }
 
+/// Fixed control/context cost of any functor move, on top of its declared
+/// working set: control messages plus the execution context that moves
+/// with the functor (Section 3.3). Shipped stalled in either transfer
+/// mode.
+inline constexpr std::size_t kMigrationOverheadBytes = 4096;
+
 /// Declared migration economics of one functor instance (ROADMAP item 5:
 /// every migratable instance carries a declared working-set size and
 /// migration cost). The working set is a callback, not a number, because
@@ -331,9 +333,8 @@ struct MigrationDeclaration {
   /// Unset = 0: the instance declares no bulk state.
   std::function<std::size_t()> working_set_bytes{};
 
-  /// Fixed control/context cost of any move, shipped stalled in either
-  /// mode (mirrors core::kMigrationOverheadBytes).
-  std::size_t overhead_bytes = 4096;
+  /// Fixed control/context cost of any move.
+  std::size_t overhead_bytes = kMigrationOverheadBytes;
 
   /// Declared wire cost of the move's path, seconds per byte. 0 (unset)
   /// disables stall estimation: the placer prices every move at zero
@@ -371,7 +372,7 @@ struct MigrationPlan {
 /// migration_performed() and the lm.* counters.
 struct PlacerDecision {
   double time = 0;
-  std::string client;          ///< client label ("" = anonymous client 0)
+  std::string client;          ///< client label ("" for an unlabeled client)
   std::size_t instance = 0;
   std::string from;
   std::string to;
@@ -388,16 +389,14 @@ struct PlacerDecision {
 struct LoadManagerConfig {
   LoadManagerMode mode = LoadManagerMode::Off;
 
-  /// Monitor sampling period (simulated seconds) and sample budget.
+  /// Monitor sampling period (simulated seconds).
   double period = 0.05;
-  std::size_t max_samples = 10000;
 
   /// Router hot-swap thresholds on host imbalance (0 = even, 1 = all on
   /// one node). Promote static -> dynamic when imbalance holds at or
   /// above `promote_imbalance` for `promote_hysteresis` consecutive
   /// samples; demote back when it holds at or below `demote_imbalance`.
   /// The gap between the two watermarks prevents threshold chatter.
-  bool router_swap = true;
   double promote_imbalance = 0.25;
   double demote_imbalance = 0.10;
   std::size_t promote_hysteresis = 2;
@@ -415,7 +414,6 @@ struct LoadManagerConfig {
   /// `migrate_factor`, sustained for `migrate_hysteresis` samples. The
   /// factor absorbs both the migration overhead and estimation error —
   /// near-even moves never pay for themselves.
-  bool migration = true;
   double migrate_factor = 2.0;
   std::size_t migrate_hysteresis = 2;
 
@@ -458,15 +456,14 @@ struct LoadManagerEvent {
 /// instances onto less-loaded nodes (the paper's functor migration,
 /// Section 3.3).
 ///
-/// Multi-tenant arbitration: the manager holds a registry of *clients*
-/// (one per concurrently running program). Client 0 always exists — it
-/// is the anonymous legacy client behind the single-program
-/// manage_router / manage_instances / migration_target(i) API, and it
-/// charges the original `lm.migrations` / `lm.router_switches` counters,
-/// so single-program callers are byte-compatible. add_client() registers
-/// further labeled clients (one per tenant job); their actions charge
-/// both the aggregate counters and per-tenant `lm.<label>.*` counters,
-/// and their journal lines carry the label. Decisions are arbitrated
+/// Clients: the manager holds a registry of *clients*, one per program it
+/// steers (a standalone DSM-Sort, or each tenant job of a multi-tenant
+/// run). Every program registers with add_client(label) and addresses
+/// its router, instances and plans by the returned id. Every action
+/// charges the aggregate `lm.migrations` / `lm.router_switches`
+/// counters; a non-empty label additionally charges the per-label
+/// `lm.<label>.migrations` / `lm.<label>.router_switches` counters, and
+/// its journal lines carry the label. Decisions are arbitrated
 /// globally: one shared cooldown and one migration *budget* per tick
 /// across ALL clients' instances (moves and bytes,
 /// LoadManagerConfig::budget_*), chosen against aggregate per-node load
@@ -475,7 +472,7 @@ struct LoadManagerEvent {
 ///
 /// Division of labor for migration: the manager only *plans* a move (it
 /// runs off the sampling tick and cannot touch functor state); the stage
-/// coroutine that owns the instance consults migration_target() between
+/// coroutine that owns the instance consults migration_plan() between
 /// packets, pays the state transfer itself, re-pins the instance's inbox
 /// via StageOutput::set_target_node, and then confirms with
 /// migration_performed(). Until confirmation the plan stays pending and
@@ -487,19 +484,15 @@ class LoadManager {
         cfg_(cfg),
         migrations_counter_(&eng.metrics().counter("lm.migrations")),
         switches_counter_(&eng.metrics().counter("lm.router_switches")),
-        track_(eng.tracer().track("load-manager")) {
-    // Client 0: the anonymous legacy client (empty label charges the
-    // aggregate counters directly, so single-program metric names and
-    // counts are unchanged).
-    clients_.push_back(make_client(""));
-  }
+        track_(eng.tracer().track("load-manager")) {}
 
-  /// Register a labeled client (one per tenant job); returns its id for
-  /// the per-client API below. Empty labels share the aggregate
-  /// counters; non-empty labels additionally charge
-  /// `lm.<label>.migrations` / `lm.<label>.router_switches`.
+  /// Register a client (one per managed program); returns its id for
+  /// the per-client API below.
   std::size_t add_client(const std::string& label) {
-    clients_.push_back(make_client(label));
+    Client cl;
+    cl.label = label;
+    cl.counters = counters(label);
+    clients_.push_back(std::move(cl));
     return clients_.size() - 1;
   }
 
@@ -517,9 +510,9 @@ class LoadManager {
     if (!cl.label.empty()) journal(eng_->now(), cl.label + ": detached");
   }
 
-  /// Attach the stage router to hot-swap (optional; may be wrapped in an
-  /// InstrumentedRouter — pass the inner SwitchableRouter).
-  void manage_router(SwitchableRouter* router) { client_router(0, router); }
+  /// Attach the stage router to hot-swap (may be wrapped in an
+  /// InstrumentedRouter — pass the inner SwitchableRouter; nullptr =
+  /// nothing to swap).
   void client_router(std::size_t c, SwitchableRouter* router) {
     clients_.at(c).router = router;
   }
@@ -527,10 +520,6 @@ class LoadManager {
   /// Attach the replicated instances eligible for migration: their
   /// current placement (indexed like the stage's instances) and the
   /// candidate node set moves may target.
-  void manage_instances(std::vector<asu::Node*> placement,
-                        std::vector<asu::Node*> candidates) {
-    client_instances(0, std::move(placement), std::move(candidates));
-  }
   void client_instances(std::size_t c, std::vector<asu::Node*> placement,
                         std::vector<asu::Node*> candidates) {
     Client& cl = clients_.at(c);
@@ -546,15 +535,11 @@ class LoadManager {
   }
 
   /// Declare instance `i`'s migration economics (working set, wire cost,
-  /// dirty fraction). Call after client_instances / manage_instances —
-  /// that call resets declarations to the default (overhead-only,
-  /// stop-copy) declaration.
+  /// dirty fraction). Call after client_instances — that call resets
+  /// declarations to the default (overhead-only, stop-copy) declaration.
   void declare_instance(std::size_t c, std::size_t i,
                         MigrationDeclaration decl) {
     clients_.at(c).declarations.at(i) = std::move(decl);
-  }
-  void declare_instance(std::size_t i, MigrationDeclaration decl) {
-    declare_instance(0, i, std::move(decl));
   }
 
   /// The decision tick; plug into LoadMonitor::set_observer.
@@ -569,59 +554,50 @@ class LoadManager {
     maybe_plan_migration(s);
   }
 
-  /// Stage-side consult point: the planned destination for instance `i`,
-  /// or nullptr. The plan stays up until migration_performed() confirms
-  /// it (the stage may be blocked in recv and pick it up late).
-  [[nodiscard]] asu::Node* migration_target(std::size_t i) const {
-    return migration_target(0, i);
-  }
-  [[nodiscard]] asu::Node* migration_target(std::size_t c,
-                                            std::size_t i) const {
-    const Client& cl = clients_.at(c);
-    return i < cl.pending.size() ? cl.pending[i].to : nullptr;
-  }
-
-  /// Full pending plan for instance `i` (mode, priced bytes, stall
-  /// estimate) — the consult point reads this to choose how to pay for
-  /// the move. `to == nullptr` means no plan.
+  /// Stage-side consult point: the pending plan for instance `i` of
+  /// client `c` (mode, priced bytes, stall estimate); `to == nullptr`
+  /// means no plan. The plan stays up until migration_performed()
+  /// confirms it (the stage may be blocked in recv and pick it up late).
   [[nodiscard]] const MigrationPlan& migration_plan(std::size_t c,
                                                     std::size_t i) const {
     static const MigrationPlan none{};
     const Client& cl = clients_.at(c);
     return i < cl.pending.size() ? cl.pending[i] : none;
   }
-  [[nodiscard]] const MigrationPlan& migration_plan(std::size_t i) const {
-    return migration_plan(0, i);
-  }
 
-  /// Confirm that instance `i` now runs on `to` (the stage already paid
-  /// the transfer and re-pinned its inbox).
-  void migration_performed(std::size_t i, asu::Node& to) {
-    migration_performed(0, i, to);
-  }
+  /// Confirm that instance `i` of client `c` now runs on `to` (the stage
+  /// already paid the transfer and re-pinned its inbox).
   void migration_performed(std::size_t c, std::size_t i, asu::Node& to) {
     Client& cl = clients_.at(c);
     cl.placement.at(i) = &to;
     cl.pending.at(i) = MigrationPlan{};
     cl.dwell_left.at(i) = cfg_.dwell_samples;
-    cl.migrations->inc();
-    if (cl.migrations != migrations_counter_) migrations_counter_->inc();
+    charge(cl.counters.migrations, migrations_counter_);
     journal(eng_->now(),
             tag(cl) + "migrated i" + std::to_string(i) + " -> " + to.name());
   }
 
+  /// Aggregate action counts, over every client.
   [[nodiscard]] std::uint64_t migrations() const noexcept {
     return migrations_counter_->value();
   }
   [[nodiscard]] std::uint64_t router_switches() const noexcept {
     return switches_counter_->value();
   }
-  [[nodiscard]] std::uint64_t client_migrations(std::size_t c) const {
-    return clients_.at(c).migrations->value();
+
+  /// Action counts charged to `label`'s clients. The `lm.<label>.*`
+  /// counters are registered at zero on first use, so a caller that
+  /// names its labels up front (register_label) gets a stable artifact
+  /// shape whether or not those clients ever act. The empty label names
+  /// the aggregate counters.
+  void register_label(const std::string& label) { counters(label); }
+  [[nodiscard]] std::uint64_t migrations(const std::string& label) {
+    return counters(label).migrations->value();
   }
-  [[nodiscard]] std::uint64_t client_router_switches(std::size_t c) const {
-    return clients_.at(c).switches->value();
+  [[nodiscard]] std::uint64_t router_switches(const std::string& label) {
+    return counters(label).switches->value();
   }
+
   [[nodiscard]] const std::vector<LoadManagerEvent>& events() const noexcept {
     return journal_;
   }
@@ -632,6 +608,12 @@ class LoadManager {
   }
 
  private:
+  /// A label's action counters (the aggregate pair for the empty label).
+  struct Counters {
+    obs::Counter* migrations = nullptr;
+    obs::Counter* switches = nullptr;
+  };
+
   /// Per-program decision state. Streaks are per client (each router has
   /// its own sustained-signal history); cooldown and the one-move-per-
   /// tick migration plan are global — the whole point of cross-job
@@ -649,22 +631,21 @@ class LoadManager {
     std::vector<double> cand_service;  // offered-work baselines
     std::size_t promote_streak = 0;
     std::size_t demote_streak = 0;
-    obs::Counter* migrations = nullptr;
-    obs::Counter* switches = nullptr;
+    Counters counters;
   };
 
-  [[nodiscard]] Client make_client(const std::string& label) {
-    Client cl;
-    cl.label = label;
-    if (label.empty()) {
-      cl.migrations = migrations_counter_;
-      cl.switches = switches_counter_;
-    } else {
-      cl.migrations = &eng_->metrics().counter("lm." + label + ".migrations");
-      cl.switches =
-          &eng_->metrics().counter("lm." + label + ".router_switches");
-    }
-    return cl;
+  /// The one place `lm.<label>.*` names are spelled.
+  Counters counters(const std::string& label) {
+    if (label.empty()) return {migrations_counter_, switches_counter_};
+    return {&eng_->metrics().counter("lm." + label + ".migrations"),
+            &eng_->metrics().counter("lm." + label + ".router_switches")};
+  }
+
+  /// Charge one action to a client's counter and, when that is a
+  /// per-label counter, to the aggregate as well.
+  static void charge(obs::Counter* mine, obs::Counter* aggregate) {
+    mine->inc();
+    if (mine != aggregate) aggregate->inc();
   }
 
   [[nodiscard]] static std::string tag(const Client& cl) {
@@ -672,7 +653,7 @@ class LoadManager {
   }
 
   void maybe_switch_router(Client& cl, const LoadSample& s) {
-    if (!cl.active || cl.router == nullptr || !cfg_.router_swap) return;
+    if (!cl.active || cl.router == nullptr) return;
     const auto load = s.host_load();
     const double imb = LoadSample::imbalance(load);
     const double peak_util =
@@ -686,8 +667,7 @@ class LoadManager {
       if (cl.promote_streak >= cfg_.promote_hysteresis &&
           cooldown_left_ == 0) {
         cl.router->promote();
-        cl.switches->inc();
-        if (cl.switches != switches_counter_) switches_counter_->inc();
+        charge(cl.counters.switches, switches_counter_);
         cooldown_left_ = cfg_.cooldown_samples;
         cl.promote_streak = cl.demote_streak = 0;
         journal(s.time, tag(cl) + "promote router -> dynamic (imbalance " +
@@ -699,8 +679,7 @@ class LoadManager {
           imb <= cfg_.demote_imbalance ? cl.demote_streak + 1 : 0;
       if (cl.demote_streak >= cfg_.demote_hysteresis && cooldown_left_ == 0) {
         cl.router->demote();
-        cl.switches->inc();
-        if (cl.switches != switches_counter_) switches_counter_->inc();
+        charge(cl.counters.switches, switches_counter_);
         cooldown_left_ = cfg_.cooldown_samples;
         cl.promote_streak = cl.demote_streak = 0;
         journal(s.time, tag(cl) + "demote router -> baseline (imbalance " +
@@ -708,6 +687,16 @@ class LoadManager {
       }
     }
   }
+
+  /// One candidate move the placer considers this tick, priced from the
+  /// instance's declaration (`plan.to == nullptr`: no move).
+  struct Move {
+    std::size_t c = 0;       // client index
+    std::size_t i = 0;       // instance index within the client
+    std::size_t from_j = 0;  // indices into the client's candidate set
+    std::size_t to_j = 0;
+    MigrationPlan plan;
+  };
 
   /// Plan at most one move per tick ACROSS ALL CLIENTS: the instance
   /// whose projected gain is largest, and only when the gain is
@@ -724,18 +713,7 @@ class LoadManager {
   /// queue. Hence the comparison is load-here vs load-there, and the
   /// factor + dwell absorb the transient where the old node is still
   /// draining work the instance left behind.
-  /// One candidate move the placer considers this tick, priced from the
-  /// instance's declaration.
-  struct Move {
-    Client* cl = nullptr;
-    std::size_t i = 0;       // instance index within the client
-    std::size_t from_j = 0;  // indices into the client's candidate set
-    std::size_t to_j = 0;
-    MigrationPlan plan;
-  };
-
   void maybe_plan_migration(const LoadSample& s) {
-    if (!cfg_.migration) return;
     // Refresh every client's candidate load vector once per tick (queued
     // backlog + offered-work delta since the previous tick, in
     // wall-seconds on each node's own CPU). Baselines advance every tick
@@ -775,7 +753,7 @@ class LoadManager {
             if (to == from || !to->running()) continue;
             if (load_here >= cfg_.migrate_factor * load[j] &&
                 load_here - load[j] > best.plan.gain) {
-              best.cl = &cl;
+              best.c = c;
               best.i = i;
               best.from_j = fj;
               best.to_j = j;
@@ -791,7 +769,7 @@ class LoadManager {
     // The hysteresis streak counts ticks where at least one admissible
     // move exists (gain, factor, actionability, AND byte budget — a move
     // too fat for the per-tick budget cannot sustain the streak).
-    const bool any = best_move(cfg_.budget_bytes_per_tick).cl != nullptr;
+    const bool any = best_move(cfg_.budget_bytes_per_tick).plan.to != nullptr;
     migrate_streak_ = any ? migrate_streak_ + 1 : 0;
     if (!any || migrate_streak_ < cfg_.migrate_hysteresis ||
         cooldown_left_ != 0) {
@@ -807,25 +785,23 @@ class LoadManager {
     std::size_t bytes_left = cfg_.budget_bytes_per_tick;
     std::size_t planned = 0;
     while (moves_left > 0) {
-      Move m = best_move(bytes_left);
-      if (m.cl == nullptr) break;
-      m.cl->pending[m.i] = m.plan;
+      const Move m = best_move(bytes_left);
+      if (m.plan.to == nullptr) break;
+      Client& cl = clients_[m.c];
+      cl.pending[m.i] = m.plan;
       --moves_left;
       bytes_left -= m.plan.bytes;
       ++planned;
-      auto& load = loads[std::size_t(
-          std::find_if(clients_.begin(), clients_.end(),
-                       [&](const Client& cl) { return &cl == m.cl; }) -
-          clients_.begin())];
+      auto& load = loads[m.c];
       const double mean = (load[m.from_j] + load[m.to_j]) / 2.0;
       load[m.from_j] = load[m.to_j] = mean;
       journal(eng_->now(),
-              tag(*m.cl) + "plan migrate i" + std::to_string(m.i) + " " +
-                  m.cl->placement[m.i]->name() + " -> " + m.plan.to->name() +
+              tag(cl) + "plan migrate i" + std::to_string(m.i) + " " +
+                  cl.placement[m.i]->name() + " -> " + m.plan.to->name() +
                   " (" + migration_mode_name(m.plan.mode) + ", " +
                   std::to_string(m.plan.bytes) + " B)");
-      decisions_.push_back({eng_->now(), m.cl->label, m.i,
-                            m.cl->placement[m.i]->name(), m.plan.to->name(),
+      decisions_.push_back({eng_->now(), cl.label, m.i,
+                            cl.placement[m.i]->name(), m.plan.to->name(),
                             m.plan.mode, m.plan.bytes, m.plan.est_stall,
                             m.plan.gain});
     }
@@ -888,5 +864,66 @@ class LoadManager {
   obs::Counter* switches_counter_;
   std::uint32_t track_;
 };
+
+/// The load-management layer of one run: a monitor and, under Manage,
+/// the manager it feeds. Both members are null under Off.
+struct LoadManagement {
+  std::unique_ptr<LoadMonitor> monitor;
+  std::unique_ptr<LoadManager> manager;
+};
+
+/// The one wiring of the load-management layer, shared by every
+/// workload: build what `cfg.mode` asks for and spawn the monitor (Off
+/// builds and spawns nothing, so an unmanaged run schedules no sampling
+/// events and registers no lm metrics). Programs then register with the
+/// manager as clients. `stop_when_idle` as in LoadMonitor::start.
+inline LoadManagement start_load_management(asu::Cluster& cluster,
+                                            const LoadManagerConfig& cfg,
+                                            bool stop_when_idle) {
+  LoadManagement lm;
+  if (cfg.mode == LoadManagerMode::Off) return lm;
+  lm.monitor = std::make_unique<LoadMonitor>(cluster, cfg.period);
+  if (cfg.mode == LoadManagerMode::Manage) {
+    lm.manager = std::make_unique<LoadManager>(cluster.engine(), cfg);
+    lm.monitor->set_observer(
+        [m = lm.manager.get()](const LoadSample& s) { m->on_sample(s); });
+  }
+  lm.monitor->start(stop_when_idle);
+  return lm;
+}
+
+/// Serialize a run's decision journals into a bench artifact entry:
+/// `lm_events` always, and the `placer` block iff the run constructed a
+/// manager (`managed` is config-driven, so serial and parallel sweeps
+/// emit identically shaped artifacts).
+inline void lm_journal_to_json(obs::Json& j,
+                               const std::vector<LoadManagerEvent>& events,
+                               bool managed,
+                               const std::vector<PlacerDecision>& decisions) {
+  obs::Json lm_events = obs::Json::array();
+  for (const auto& e : events) {
+    obs::Json entry = obs::Json::object();
+    entry["time"] = e.time;
+    entry["what"] = e.what;
+    lm_events.push_back(std::move(entry));
+  }
+  j["lm_events"] = std::move(lm_events);
+  if (!managed) return;
+  obs::Json placer = obs::Json::array();
+  for (const auto& d : decisions) {
+    obs::Json entry = obs::Json::object();
+    entry["time"] = d.time;
+    entry["client"] = d.client;
+    entry["instance"] = d.instance;
+    entry["from"] = d.from;
+    entry["to"] = d.to;
+    entry["mode"] = std::string(migration_mode_name(d.mode));
+    entry["bytes"] = d.bytes;
+    entry["est_stall_seconds"] = d.est_stall;
+    entry["gain_seconds"] = d.gain;
+    placer.push_back(std::move(entry));
+  }
+  j["placer"] = std::move(placer);
+}
 
 }  // namespace lmas::core

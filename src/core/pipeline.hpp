@@ -33,13 +33,6 @@ struct FunctorCost {
   }
 };
 
-/// Fixed overhead charged when a functor instance migrates between nodes,
-/// on top of its declared state bytes: control messages plus the
-/// execution context that moves with the functor (Section 3.3). Shared by
-/// Program's migrate hook and the online LoadManager wiring so both
-/// charge the paper's migration cost identically.
-inline constexpr std::size_t kMigrationOverheadBytes = 4096;
-
 /// One instance of a (possibly replicated) downstream functor: its inbox
 /// and the node it is pinned to. A null channel marks a REMOTE instance —
 /// one owned by another simulation shard (sim::ShardedEngine, DESIGN.md

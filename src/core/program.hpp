@@ -30,13 +30,6 @@ struct ProgramStageSpec {
   std::uint32_t router_subsets = 0;
   /// Inbox depth per instance, in packets.
   std::size_t inbox_packets = 64;
-
-  /// Optional dynamic migration policy (Section 3.3: "load management may
-  /// ... migrate functors between host nodes and ASUs"), consulted
-  /// between packets. Return the node the instance should run on
-  /// (nullptr or the current node = stay). Moving charges the functor's
-  /// declared state plus a fixed overhead over the network.
-  std::function<asu::Node*(unsigned instance, asu::Node& current)> migrate;
 };
 
 struct StageStats {
@@ -46,7 +39,6 @@ struct StageStats {
   std::uint64_t packets_out = 0;
   std::uint64_t records_out = 0;
   double busy_seconds = 0;  // declared-cost CPU charged by this stage
-  std::uint32_t migrations = 0;
 };
 
 struct ProgramStats {

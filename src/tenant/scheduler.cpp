@@ -202,34 +202,22 @@ class TenantScheduler {
       eng_.spawn(injector_->run(), "fault-injector");
     }
 
-    // Shared management layer: one monitor feeding one cross-job
-    // manager. stop_when_idle=false — quiescent gaps between arrivals
-    // are normal in an open-arrival run — so the last job completion
-    // must request_stop() or the monitor would tick forever.
-    if (cfg_.load_manager.mode != core::LoadManagerMode::Off &&
-        !arrivals_.events().empty()) {
-      monitor_ = std::make_unique<core::LoadMonitor>(
-          cluster_, cfg_.load_manager.period);
-      if (cfg_.load_manager.mode == core::LoadManagerMode::Manage) {
-        manager_ =
-            std::make_unique<core::LoadManager>(eng_, cfg_.load_manager);
-        monitor_->set_observer(
-            [this](const core::LoadSample& s) { manager_->on_sample(s); });
-        // Pre-register the per-tenant counters so they exist (at zero)
-        // even for tenants whose jobs never trigger an action — the
-        // artifact then has a stable shape across cells.
+    // The shared management layer (one monitor feeding one cross-job
+    // manager), then the admission process. stop_when_idle=false —
+    // quiescent gaps between arrivals are normal in an open-arrival
+    // run — so the last job completion must request_stop() or the
+    // monitor would tick until its sample budget runs out.
+    if (!arrivals_.events().empty()) {
+      lm_ = core::start_load_management(cluster_, cfg_.load_manager,
+                                        /*stop_when_idle=*/false);
+      if (lm_.manager) {
+        // Name every tenant's lm.<tenant>.* counters up front so they
+        // exist (at zero) even for tenants whose jobs never trigger an
+        // action — the artifact then has a stable shape across cells.
         for (const auto& ts : cfg_.tenants) {
-          tenant_migrations_.push_back(
-              &eng_.metrics().counter("lm." + ts.name + ".migrations"));
-          tenant_switches_.push_back(
-              &eng_.metrics().counter("lm." + ts.name + ".router_switches"));
+          lm_.manager->register_label(ts.name);
         }
       }
-      monitor_->start(cfg_.load_manager.max_samples,
-                      /*stop_when_idle=*/false);
-    }
-
-    if (!arrivals_.events().empty()) {
       eng_.spawn(admission(), "tenant-admission");
     }
     eng_.run();
@@ -309,8 +297,8 @@ class TenantScheduler {
     acc.conservation_ok = acc.conservation_ok && out.conservation_ok;
     --in_flight_;
     ++jobs_completed_;
-    if (jobs_completed_ == arrivals_.events().size() && monitor_) {
-      monitor_->request_stop();
+    if (jobs_completed_ == arrivals_.events().size() && lm_.monitor) {
+      lm_.monitor->request_stop();
     }
     job_done_.notify_all();
   }
@@ -335,23 +323,14 @@ class TenantScheduler {
     jc.load_manager = cfg_.load_manager;
 
     core::DsmSortJob job(eng_, cluster_, jc);
-    std::size_t client = 0;
-    if (manager_ != nullptr) {
-      // Clients are labeled by TENANT (not job), so lm.<tenant>.*
-      // counters aggregate a tenant's jobs and journal lines read as
-      // "alice: plan migrate ...".
-      client = manager_->add_client(ts.name);
-      if (job.switch_router() != nullptr) {
-        manager_->client_router(client, job.switch_router());
-      }
-      if (cfg_.load_manager.migration) {
-        manager_->client_instances(client, job.sort_placement(),
-                                   job.sort_placement());
-      }
-      job.set_external_manager(manager_.get(), client);
-    }
+    // Clients are labeled by TENANT (not job), so lm.<tenant>.* counters
+    // aggregate a tenant's jobs and journal lines read as
+    // "alice: plan migrate ...".
+    core::LoadManager* manager = lm_.manager.get();
+    const std::size_t client =
+        manager != nullptr ? job.attach_manager(*manager, ts.name) : 0;
     co_await job.body();
-    if (manager_ != nullptr) manager_->remove_client(client);
+    if (manager != nullptr) manager->remove_client(client);
     const core::DsmSortReport& r = job.report();
     out.records_in = r.records_in;
     out.records_out = r.records_stored;
@@ -473,18 +452,18 @@ class TenantScheduler {
         st.p50_job_seconds = tenant_hists_[t]->quantile(0.5);
         st.p99_job_seconds = tenant_hists_[t]->quantile(0.99);
       }
-      if (!tenant_migrations_.empty()) {
-        st.lm_migrations = tenant_migrations_[t]->value();
-        st.lm_router_switches = tenant_switches_[t]->value();
+      if (lm_.manager) {
+        st.lm_migrations = lm_.manager->migrations(st.name);
+        st.lm_router_switches = lm_.manager->router_switches(st.name);
       }
       rep.tenants.push_back(std::move(st));
     }
-    if (manager_ != nullptr) {
+    if (lm_.manager) {
       rep.lm_managed = true;
-      rep.lm_migrations = manager_->migrations();
-      rep.lm_router_switches = manager_->router_switches();
-      rep.lm_events = manager_->events();
-      rep.lm_decisions = manager_->decisions();
+      rep.lm_migrations = lm_.manager->migrations();
+      rep.lm_router_switches = lm_.manager->router_switches();
+      rep.lm_events = lm_.manager->events();
+      rep.lm_decisions = lm_.manager->decisions();
     }
     rep.metrics = eng_.metrics().snapshot();
     if (cfg_.telemetry_histograms) {
@@ -515,20 +494,21 @@ class TenantScheduler {
   std::vector<TenantAccum> accum_;
 
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<core::LoadMonitor> monitor_;
-  std::unique_ptr<core::LoadManager> manager_;
+  core::LoadManagement lm_;
   obs::LatencyHistogram* job_hist_ = nullptr;
   std::vector<obs::LatencyHistogram*> tenant_hists_;
-  std::vector<obs::Counter*> tenant_migrations_;
-  std::vector<obs::Counter*> tenant_switches_;
 };
 
 }  // namespace
 
 TenancyReport run_tenancy(const asu::MachineParams& machine,
                           const TenancyConfig& cfg) {
-  TenantScheduler sched(machine, cfg);
-  return sched.run();
+  // Copied once the scheduler is gone: assembled in place, the metrics
+  // snapshot's small blocks pin the gaps finished jobs left in the heap,
+  // and the next run pays to sort that free space (DESIGN.md §13;
+  // perfbench tenancy-open set-up on a 4-vCPU VM: 0.36 ms vs 0.22 ms).
+  const TenancyReport assembled = TenantScheduler(machine, cfg).run();
+  return TenancyReport(assembled);
 }
 
 obs::Json tenancy_report_to_json(const TenancyReport& rep) {
@@ -562,31 +542,8 @@ obs::Json tenancy_report_to_json(const TenancyReport& rep) {
     tenants[t.name] = std::move(e);
   }
   j["tenants"] = std::move(tenants);
-  obs::Json lm_events = obs::Json::array();
-  for (const auto& e : rep.lm_events) {
-    obs::Json entry = obs::Json::object();
-    entry["time"] = e.time;
-    entry["what"] = e.what;
-    lm_events.push_back(std::move(entry));
-  }
-  j["lm_events"] = std::move(lm_events);
-  if (rep.lm_managed) {
-    obs::Json placer = obs::Json::array();
-    for (const auto& d : rep.lm_decisions) {
-      obs::Json entry = obs::Json::object();
-      entry["time"] = d.time;
-      entry["client"] = d.client;
-      entry["instance"] = d.instance;
-      entry["from"] = d.from;
-      entry["to"] = d.to;
-      entry["mode"] = std::string(core::migration_mode_name(d.mode));
-      entry["bytes"] = d.bytes;
-      entry["est_stall_seconds"] = d.est_stall;
-      entry["gain_seconds"] = d.gain;
-      placer.push_back(std::move(entry));
-    }
-    j["placer"] = std::move(placer);
-  }
+  core::lm_journal_to_json(j, rep.lm_events, rep.lm_managed,
+                           rep.lm_decisions);
   if (!rep.histograms.is_null()) j["histograms"] = rep.histograms;
   j["metrics"] = rep.metrics;
   return j;

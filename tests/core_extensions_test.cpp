@@ -284,6 +284,12 @@ TEST(DsmMatrix, BackgroundLoadPreservesCorrectness) {
 
 namespace {
 
+/// Keep every sample the monitor publishes, through its observer hook.
+void record_samples(core::LoadMonitor& mon,
+                    std::vector<core::LoadSample>& out) {
+  mon.set_observer([&out](const core::LoadSample& s) { out.push_back(s); });
+}
+
 TEST(LoadMonitor, ImbalanceMetric) {
   EXPECT_DOUBLE_EQ(core::LoadSample::imbalance({1.0, 1.0, 1.0, 1.0}), 0.0);
   EXPECT_NEAR(core::LoadSample::imbalance({4.0, 0.0, 0.0, 0.0}), 1.0, 1e-9);
@@ -299,13 +305,15 @@ TEST(LoadMonitor, ObservesWorkAndStopsWhenDrained) {
   auto mp = machine(2, 2);
   asu::Cluster cluster(eng, mp);
   core::LoadMonitor mon(cluster, 0.01);
+  std::vector<core::LoadSample> samples;
+  record_samples(mon, samples);
   mon.start();
   // Put 0.1s of work on host0 only.
   auto worker = [](asu::Node& n) -> sim::Task<> { co_await n.compute(0.1); };
   eng.spawn(worker(cluster.host(0)));
   eng.run();
   EXPECT_EQ(eng.unfinished_tasks(), 0u);  // monitor terminated itself
-  ASSERT_GT(mon.samples().size(), 2u);
+  ASSERT_GT(samples.size(), 2u);
   EXPECT_GT(mon.peak_host_imbalance(), 0.9);  // all load on one host
 }
 
@@ -314,21 +322,23 @@ TEST(LoadMonitor, PublishesBacklogGaugesToRegistry) {
   auto mp = machine(2, 2);
   asu::Cluster cluster(eng, mp);
   core::LoadMonitor mon(cluster, 0.01);
+  std::vector<core::LoadSample> samples;
+  record_samples(mon, samples);
   mon.start();
   auto worker = [](asu::Node& n) -> sim::Task<> { co_await n.compute(0.1); };
   eng.spawn(worker(cluster.host(0)));
   eng.run();
   // Every sampled node has a backlog gauge; the imbalance gauge carries
-  // the last sample (0 once drained). Old accessor still works alongside.
+  // the last sample (0 once drained), as the observer saw it.
   const auto& reg = eng.metrics();
   ASSERT_NE(reg.find_gauge("host.backlog.0"), nullptr);
   ASSERT_NE(reg.find_gauge("host.backlog.1"), nullptr);
   ASSERT_NE(reg.find_gauge("asu.backlog.0"), nullptr);
   ASSERT_NE(reg.find_gauge("asu.backlog.1"), nullptr);
   ASSERT_NE(reg.find_gauge("load.host_imbalance"), nullptr);
+  ASSERT_FALSE(samples.empty());
   EXPECT_DOUBLE_EQ(reg.find_gauge("host.backlog.0")->value(),
-                   mon.samples().back().host_backlog[0]);
-  EXPECT_FALSE(mon.samples().empty());
+                   samples.back().host_backlog[0]);
 }
 
 TEST(LoadMonitor, BalancedWorkShowsLowImbalance) {
@@ -355,6 +365,8 @@ TEST(LoadMonitor, SurvivesIdleGapLongerThanOnePeriod) {
   auto mp = machine(1, 1);
   asu::Cluster cluster(eng, mp);
   core::LoadMonitor mon(cluster, 0.01);
+  std::vector<core::LoadSample> samples;
+  record_samples(mon, samples);
   mon.start();
   // Two bursts with a 0.012s quiescent gap (> one period, < two): the
   // sample at t=0.05 lands inside the gap and sees an idle cluster.
@@ -367,17 +379,17 @@ TEST(LoadMonitor, SurvivesIdleGapLongerThanOnePeriod) {
   eng.run();
 
   EXPECT_EQ(eng.unfinished_tasks(), 0u);  // monitor still terminates
-  ASSERT_FALSE(mon.samples().empty());
+  ASSERT_FALSE(samples.empty());
   // The monitor sampled through the gap: the second burst is observed...
   bool saw_second_burst = false;
-  for (const auto& s : mon.samples()) {
+  for (const auto& s : samples) {
     if (s.time > 0.055 && s.host_backlog[0] > 0) saw_second_burst = true;
   }
   EXPECT_TRUE(saw_second_burst);
-  EXPECT_GT(mon.samples().back().time, 0.087);
+  EXPECT_GT(samples.back().time, 0.087);
   // ...and it still stops promptly once the workload truly drains (two
-  // idle samples after the last burst, not max_samples).
-  EXPECT_LT(mon.samples().size(), 20u);
+  // idle samples after the last burst).
+  EXPECT_LT(samples.size(), 20u);
 }
 
 // Satellite of the same fix: ASU backlogs are sampled and published
@@ -388,12 +400,14 @@ TEST(LoadMonitor, SamplesAsuBacklogsSymmetrically) {
   auto mp = machine(1, 2);
   asu::Cluster cluster(eng, mp);
   core::LoadMonitor mon(cluster, 0.01);
+  std::vector<core::LoadSample> samples;
+  record_samples(mon, samples);
   mon.start();
   auto worker = [](asu::Node& n) -> sim::Task<> { co_await n.compute(0.1); };
   eng.spawn(worker(cluster.asu(1)));  // work on an ASU, hosts idle
   eng.run();
   double peak_asu = 0;
-  for (const auto& s : mon.samples()) {
+  for (const auto& s : samples) {
     ASSERT_EQ(s.asu_backlog.size(), 2u);
     peak_asu = std::max(peak_asu, s.asu_backlog[1]);
   }

@@ -98,7 +98,6 @@ core::LoadSample sample_at(double t, std::vector<double> host_backlog) {
   core::LoadSample s;
   s.time = t;
   s.host_backlog = std::move(host_backlog);
-  s.host_rate.assign(s.host_backlog.size(), 1.0);
   return s;
 }
 
@@ -119,7 +118,7 @@ TEST(LoadManager, PromotesOnlyOnSustainedImbalanceThenDemotes) {
   core::SwitchableRouter router(
       std::make_unique<core::StaticPartitionRouter>(),
       std::make_unique<core::RoundRobinRouter>());
-  lm.manage_router(&router);
+  lm.client_router(lm.add_client(""), &router);
 
   // One hot sample is not enough (hysteresis = 2)...
   lm.on_sample(sample_at(0.1, {1.0, 0.0}));
@@ -150,7 +149,7 @@ TEST(LoadManager, TinyBacklogImbalanceIsIgnored) {
   core::SwitchableRouter router(
       std::make_unique<core::StaticPartitionRouter>(),
       std::make_unique<core::RoundRobinRouter>());
-  lm.manage_router(&router);
+  lm.client_router(lm.add_client(""), &router);
   for (int i = 0; i < 10; ++i) {
     lm.on_sample(sample_at(0.1 * i, {0.001, 0.0}));
   }
@@ -168,33 +167,33 @@ TEST(LoadManager, PlansMigrationOffOverloadedNodeWithDwell) {
   asu::Node* h1 = &cluster.host(1);
 
   auto cfg = manage_cfg();
-  cfg.router_swap = false;
   core::LoadManager lm(eng, cfg);
-  lm.manage_instances({h0, h1}, {h0, h1});
+  const std::size_t c = lm.add_client("");
+  lm.client_instances(c, {h0, h1}, {h0, h1});
 
   // h0 drowning, h1 idle: drain_here / drain_there >> migrate_factor.
   h0->cpu().post(10.0);
-  EXPECT_EQ(lm.migration_target(0), nullptr);
+  EXPECT_EQ(lm.migration_plan(c, 0).to, nullptr);
   lm.on_sample(sample_at(0.1, {10.0, 0.0}));
-  EXPECT_EQ(lm.migration_target(0), nullptr);  // hysteresis not met
+  EXPECT_EQ(lm.migration_plan(c, 0).to, nullptr);  // hysteresis not met
   lm.on_sample(sample_at(0.2, {10.0, 0.0}));
-  EXPECT_EQ(lm.migration_target(0), h1);  // planned
-  EXPECT_EQ(lm.migration_target(1), nullptr);
+  EXPECT_EQ(lm.migration_plan(c, 0).to, h1);  // planned
+  EXPECT_EQ(lm.migration_plan(c, 1).to, nullptr);
 
   // The plan stays pending (and is not re-issued) until the stage
   // confirms; confirmation flips placement and starts the dwell lockout.
   lm.on_sample(sample_at(0.3, {10.0, 0.0}));
-  EXPECT_EQ(lm.migration_target(0), h1);
-  lm.migration_performed(0, *h1);
+  EXPECT_EQ(lm.migration_plan(c, 0).to, h1);
+  lm.migration_performed(c, 0, *h1);
   EXPECT_EQ(lm.migrations(), 1u);
-  EXPECT_EQ(lm.migration_target(0), nullptr);
+  EXPECT_EQ(lm.migration_plan(c, 0).to, nullptr);
 
   // Still imbalanced on the nodes, but instance 0 is in dwell and
   // instance 1 has no qualifying move (its node is the idle one) — no
   // ping-pong plan may appear during the dwell window.
   for (int i = 0; i < 3; ++i) {
     lm.on_sample(sample_at(0.4 + 0.1 * i, {10.0, 0.0}));
-    EXPECT_EQ(lm.migration_target(0), nullptr);
+    EXPECT_EQ(lm.migration_plan(c, 0).to, nullptr);
   }
 }
 
@@ -210,10 +209,10 @@ TEST(LoadManager, BudgetAdmitsMultipleMovesPerTick) {
   for (unsigned h = 0; h < 4; ++h) hosts.push_back(&cluster.host(h));
 
   auto cfg = manage_cfg();
-  cfg.router_swap = false;
   cfg.budget_moves_per_tick = 2;
   core::LoadManager lm(eng, cfg);
-  lm.manage_instances(hosts, hosts);
+  const std::size_t c = lm.add_client("");
+  lm.client_instances(c, hosts, hosts);
 
   // Two drowning hosts, two idle ones (the placer reads load off the
   // node CPUs). One gate opening must admit both moves in the same tick
@@ -227,8 +226,8 @@ TEST(LoadManager, BudgetAdmitsMultipleMovesPerTick) {
   lm.on_sample(sample_at(0.2, {10.0, 10.0, 0.0, 0.0}));
   ASSERT_EQ(lm.decisions().size(), 2u);
   EXPECT_EQ(lm.decisions()[0].time, lm.decisions()[1].time);
-  asu::Node* to0 = lm.migration_target(0);
-  asu::Node* to1 = lm.migration_target(1);
+  asu::Node* to0 = lm.migration_plan(c, 0).to;
+  asu::Node* to1 = lm.migration_plan(c, 1).to;
   ASSERT_NE(to0, nullptr);
   ASSERT_NE(to1, nullptr);
   EXPECT_NE(to0, to1);
@@ -246,20 +245,20 @@ TEST(LoadManager, ByteBudgetMakesHeavyInstancesInadmissible) {
   asu::Node* h1 = &cluster.host(1);
 
   auto cfg = manage_cfg();
-  cfg.router_swap = false;
   cfg.budget_bytes_per_tick = 10000;  // ~10 KB per tick
   core::LoadManager lm(eng, cfg);
-  lm.manage_instances({h0, h1}, {h0, h1});
+  const std::size_t c = lm.add_client("");
+  lm.client_instances(c, {h0, h1}, {h0, h1});
   core::MigrationDeclaration heavy;
   heavy.working_set_bytes = [] { return std::size_t(1) << 20; };  // 1 MiB
-  lm.declare_instance(0, heavy);
+  lm.declare_instance(c, 0, heavy);
 
   // Sustained overload, but the instance's declared bytes exceed the
   // tick budget every tick: the placer must never admit the move.
   h0->cpu().post(10.0);
   for (int i = 0; i < 6; ++i) {
     lm.on_sample(sample_at(0.1 * (i + 1), {10.0, 0.0}));
-    EXPECT_EQ(lm.migration_target(0), nullptr);
+    EXPECT_EQ(lm.migration_plan(c, 0).to, nullptr);
   }
   EXPECT_EQ(lm.decisions().size(), 0u);
 
@@ -267,11 +266,12 @@ TEST(LoadManager, ByteBudgetMakesHeavyInstancesInadmissible) {
   // and the journal prices the declared megabyte.
   cfg.budget_bytes_per_tick = std::size_t(-1);
   core::LoadManager lifted(eng, cfg);
-  lifted.manage_instances({h0, h1}, {h0, h1});
-  lifted.declare_instance(0, heavy);
+  const std::size_t lc = lifted.add_client("");
+  lifted.client_instances(lc, {h0, h1}, {h0, h1});
+  lifted.declare_instance(lc, 0, heavy);
   lifted.on_sample(sample_at(0.1, {10.0, 0.0}));
   lifted.on_sample(sample_at(0.2, {10.0, 0.0}));
-  EXPECT_EQ(lifted.migration_target(0), h1);
+  EXPECT_EQ(lifted.migration_plan(lc, 0).to, h1);
   ASSERT_EQ(lifted.decisions().size(), 1u);
   EXPECT_EQ(lifted.decisions()[0].bytes, (std::size_t(1) << 20) + 4096);
 }
@@ -286,16 +286,16 @@ TEST(LoadManager, PricesPreCopyForBulkStateAndStopCopyForLight) {
   asu::Node* h1 = &cluster.host(1);
 
   auto cfg = manage_cfg();
-  cfg.router_swap = false;
   h0->cpu().post(10.0);
   const auto plan_with = [&](core::MigrationDeclaration decl) {
     core::LoadManager lm(eng, cfg);
-    lm.manage_instances({h0, h1}, {h0, h1});
-    lm.declare_instance(0, std::move(decl));
+    const std::size_t c = lm.add_client("");
+    lm.client_instances(c, {h0, h1}, {h0, h1});
+    lm.declare_instance(c, 0, std::move(decl));
     lm.on_sample(sample_at(0.1, {10.0, 0.0}));
     lm.on_sample(sample_at(0.2, {10.0, 0.0}));
-    EXPECT_EQ(lm.migration_target(0), h1);
-    return lm.migration_plan(0);
+    EXPECT_EQ(lm.migration_plan(c, 0).to, h1);
+    return lm.migration_plan(c, 0);
   };
 
   // Bulk state on a priced wire: the stop-copy stall (~1s) dwarfs the
@@ -320,6 +320,67 @@ TEST(LoadManager, PricesPreCopyForBulkStateAndStopCopyForLight) {
   EXPECT_EQ(stop.est_stall, 0.0);
 }
 
+TEST(LoadManager, ArbitratesOneMoveBudgetAcrossLabeledClients) {
+  sim::Engine eng;
+  asu::MachineParams mp;
+  mp.num_hosts = 4;
+  mp.num_asus = 1;
+  asu::Cluster cluster(eng, mp);
+  asu::Node* h0 = &cluster.host(0);
+  asu::Node* h1 = &cluster.host(1);
+  asu::Node* h2 = &cluster.host(2);
+  asu::Node* h3 = &cluster.host(3);
+
+  auto cfg = manage_cfg();
+  cfg.budget_moves_per_tick = 1;
+  core::LoadManager lm(eng, cfg);
+  // Two tenants, each with one instance on its own drowning host and an
+  // idle host to flee to; alice's host is the hotter one.
+  const std::size_t alice = lm.add_client("alice");
+  lm.client_instances(alice, {h0}, {h0, h2});
+  const std::size_t bob = lm.add_client("bob");
+  lm.client_instances(bob, {h1}, {h1, h3});
+  h0->cpu().post(10.0);
+  h1->cpu().post(8.0);
+  lm.on_sample(sample_at(0.1, {10.0, 8.0, 0.0, 0.0}));
+  lm.on_sample(sample_at(0.2, {10.0, 8.0, 0.0, 0.0}));
+
+  // One move per tick across ALL clients: exactly one plan between the
+  // two, for the larger gain.
+  ASSERT_EQ(lm.decisions().size(), 1u);
+  EXPECT_EQ(lm.decisions()[0].client, "alice");
+  EXPECT_EQ(lm.migration_plan(alice, 0).to, h2);
+  EXPECT_EQ(lm.migration_plan(bob, 0).to, nullptr);
+
+  // Confirming charges the client's label and the aggregate.
+  lm.migration_performed(alice, 0, *h2);
+  EXPECT_EQ(lm.migrations("alice"), 1u);
+  EXPECT_EQ(lm.migrations("bob"), 0u);
+  EXPECT_EQ(lm.migrations(), 1u);
+  const auto* alice_counter = eng.metrics().find_counter("lm.alice.migrations");
+  ASSERT_NE(alice_counter, nullptr);
+  EXPECT_EQ(alice_counter->value(), 1u);
+
+  // An unlabeled client charges the aggregate counters only.
+  const std::size_t anon = lm.add_client("");
+  lm.client_instances(anon, {h3}, {h3, h0});
+  lm.migration_performed(anon, 0, *h0);
+  EXPECT_EQ(lm.migrations(), 2u);
+  EXPECT_EQ(lm.migrations("alice"), 1u);
+  EXPECT_EQ(eng.metrics().find_counter("lm..migrations"), nullptr);
+
+  // bob's move stays admissible (h1 hot, h3 idle), and once the
+  // unlabeled client's plan holds still the next gate opening would be
+  // bob's — but a removed client is never planned again.
+  lm.remove_client(bob);
+  for (int i = 0; i < 16; ++i) {
+    lm.on_sample(sample_at(0.3 + 0.1 * i, {10.0, 8.0, 0.0, 0.0}));
+    EXPECT_EQ(lm.migration_plan(bob, 0).to, nullptr);
+  }
+  EXPECT_GT(lm.decisions().size(), 1u);
+  for (const auto& d : lm.decisions()) EXPECT_NE(d.client, "bob");
+}
+
 sim::Task<> pressure_work(asu::Cluster& cl) {
   co_await cl.host(0).compute(0.3);
 }
@@ -331,7 +392,7 @@ TEST(LoadMonitor, PublishesPerNodePressureGauges) {
   mp.num_asus = 3;
   asu::Cluster cl(eng, mp);
   core::LoadMonitor mon(cl, 0.05);
-  mon.start(4);
+  mon.start();
   eng.spawn(pressure_work(cl), "work");
   eng.run();
   // One gauge per node, normalized to the sampling window: the global
@@ -473,7 +534,7 @@ TEST(LoadMonitor, RackGaugesExistOnlyOnHierarchicalTopologies) {
                                .oversubscription = 2.0};
     asu::Cluster cl(eng, topo);
     core::LoadMonitor mon(cl, 0.05);
-    mon.start(4);
+    mon.start();
     eng.spawn(rack_gauge_work(cl), "work");
     eng.run();
     EXPECT_NE(eng.metrics().find_gauge("rack.load.0"), nullptr);
@@ -487,7 +548,7 @@ TEST(LoadMonitor, RackGaugesExistOnlyOnHierarchicalTopologies) {
     sim::Engine eng;
     asu::Cluster cl(eng, asu::TopologySpec::flat(mp));
     core::LoadMonitor mon(cl, 0.05);
-    mon.start(4);
+    mon.start();
     eng.spawn(rack_gauge_work(cl), "work");
     eng.run();
     EXPECT_EQ(eng.metrics().find_gauge("rack.load.0"), nullptr);
