@@ -181,6 +181,35 @@ BENCHMARK(BM_ShardedEventsPerSec)
     ->Args({1024, 128})
     ->UseRealTime();
 
+sim::Task<> detached_hop(sim::Engine& eng) { co_await eng.sleep(0.001); }
+
+sim::Task<> churn_spawner(sim::Engine& eng, int roots) {
+  for (int i = 0; i < roots; ++i) {
+    eng.spawn(detached_hop(eng));
+    co_await eng.sleep(0.0001);  // ~10 detached roots in flight
+  }
+}
+
+/// Root lifecycle under the packet pipeline's pattern: one long-lived
+/// producer spawning a short detached root per item (StageOutput spawns
+/// one deliver() per packet). roots_per_sec meters spawn + complete +
+/// free; roots_retained is what the engine still holds once run()
+/// returns, which must be 0 — a returned root frees its own frame.
+void BM_SpawnChurn(benchmark::State& state) {
+  const int roots = int(state.range(0));
+  std::size_t retained = 0;
+  for (auto _ : state) {
+    sim::Engine eng;
+    eng.spawn(churn_spawner(eng, roots));
+    eng.run();
+    retained = eng.retained_roots();
+  }
+  state.counters["roots_per_sec"] = benchmark::Counter(
+      double(state.iterations()) * roots, benchmark::Counter::kIsRate);
+  state.counters["roots_retained"] = double(retained);
+}
+BENCHMARK(BM_SpawnChurn)->Arg(1000)->Arg(100000);
+
 void BM_RngThroughput(benchmark::State& state) {
   sim::Rng rng(1);
   for (auto _ : state) {

@@ -6,9 +6,10 @@
 # sanitizers, since degraded-mode delivery (crash/retry/park) is exactly
 # where lifetime bugs would hide.
 #
-# plus a ThreadSanitizer pass over the two places in the tree where
-# threads share state: the parallel sweep executor and the sharded
-# engine's window loop (shard workers + coordinator outbox routing).
+# plus a ThreadSanitizer pass over the places in the tree where threads
+# share state: the parallel sweep executor, the sharded engine's window
+# loop (shard workers + coordinator outbox routing), and coroutine frames
+# handed between threads (the per-thread frame pool).
 #
 # Usage: scripts/run_checks.sh [build-dir] [sanitizer-build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -66,15 +67,17 @@ for j in 2 8; do
     "${TSAN_BUILD}/tests/par_tests"
 done
 
-echo "== [8/8] sharded engine under TSan (worker counts stressed)"
+echo "== [8/8] sharded engine + frame pool under TSan (worker counts stressed)"
 # The conservative-window loop is the other threaded component: shard
 # workers own disjoint heaps/node state mid-window, the coordinator
 # routes outboxes at barriers (DESIGN.md §14). LMAS_JOBS drives the
 # default worker count; the digest-equality tests inside compare
-# serial vs multi-shard runs under each pool size.
+# serial vs multi-shard runs under each pool size. FramePool.* frees
+# frames on a thread other than the one that allocated them.
 for j in 2 8; do
   TSAN_OPTIONS="halt_on_error=1" LMAS_JOBS="${j}" \
-    "${TSAN_BUILD}/tests/sim_tests" --gtest_filter='ShardMap.*:ShardedEngine.*'
+    "${TSAN_BUILD}/tests/sim_tests" \
+    --gtest_filter='ShardMap.*:ShardedEngine.*:FramePool.*'
 done
 
 echo "== all checks passed"

@@ -357,6 +357,7 @@ class DsmSortSim {
 
     stored_.assign(d_, {});
     records_sorted_per_host_.assign(h_, 0);
+    sort_records_counters_.assign(h_, nullptr);
     sort_staged_records_.assign(h_, 0);
     store_end_.assign(d_, 0.0);
 
@@ -530,11 +531,16 @@ class DsmSortSim {
     asu_ns::Disk::ReadStream rs(node.disk(),
                                 block_records_ * mp_.record_bytes);
 
+    // A slot rarely fills a whole packet when the local share is spread
+    // over many subsets (uniform keys give ~n_local/alpha per slot), so
+    // it starts at that size; a skewed slot grows past it as needed.
+    const std::size_t slot_records =
+        std::min(packet_records_, (n_local + alpha_ - 1) / alpha_);
     std::vector<Packet> staging(alpha_);
     std::vector<std::uint32_t> seq(alpha_, 0);
     for (unsigned s = 0; s < alpha_; ++s) {
       staging[s].subset = s;
-      staging[s].records = to_sort_->pool().acquire(packet_records_);
+      staging[s].records = to_sort_->pool().acquire(slot_records);
     }
 
     const double per_record_cpu =
@@ -575,7 +581,7 @@ class DsmSortSim {
         if (staging[s].records.size() >= packet_records_) {
           staged_records -= staging[s].records.size();
           stage_ready(staging[s], seq[s], ready, to_sort_->pool(),
-                      packet_records_);
+                      slot_records);
         } else if (staged_records >= budget_records) {
           std::size_t fullest = 0;
           for (unsigned t = 1; t < alpha_; ++t) {
@@ -586,7 +592,7 @@ class DsmSortSim {
           }
           staged_records -= staging[fullest].records.size();
           stage_ready(staging[fullest], seq[fullest], ready,
-                      to_sort_->pool(), packet_records_);
+                      to_sort_->pool(), slot_records);
         }
       }
       const double wall = wall_seconds() - w0;
@@ -609,11 +615,11 @@ class DsmSortSim {
         co_await to_sort_->emit(node, std::move(pkt));
       }
     }
+    // End of input: the last flush leaves each slot empty, no refill.
     ready.clear();
     for (unsigned s = 0; s < alpha_; ++s) {
       if (!staging[s].records.empty()) {
-        stage_ready(staging[s], seq[s], ready, to_sort_->pool(),
-                    packet_records_);
+        stage_ready(staging[s], seq[s], ready, to_sort_->pool(), 0);
       }
     }
     for (auto& pkt : ready) {
@@ -623,16 +629,16 @@ class DsmSortSim {
   }
 
   /// Flush one staging slot into `ready`, refilling the slot with a
-  /// recycled buffer so the next fill starts at full capacity without a
-  /// fresh allocation.
+  /// recycled buffer of at least `refill` records so the next fill starts
+  /// without a fresh allocation (0: the slot is done and stays empty).
   static void stage_ready(Packet& slot, std::uint32_t& seq,
                           std::vector<Packet>& ready, PacketPool& pool,
-                          std::size_t capacity) {
+                          std::size_t refill) {
     Packet out;
     out.subset = slot.subset;
     out.seq = seq++;
     out.records = std::move(slot.records);
-    slot.records = pool.acquire(capacity);
+    if (refill > 0) slot.records = pool.acquire(refill);
     ready.push_back(std::move(out));
   }
 
@@ -762,9 +768,14 @@ class DsmSortSim {
                                            /*on_asu=*/false);
     co_await node.compute(scaled(charge));
     records_sorted_per_host_[hh] += block.size();
-    eng_.metrics()
-        .counter(pfx("functor.sort") + std::to_string(hh) + ".records")
-        .inc(block.size());
+    // Registered on the host's first run: the metric set (and so the
+    // golden fingerprints) must not gain hosts that sorted nothing.
+    obs::Counter*& sorted = sort_records_counters_[hh];
+    if (sorted == nullptr) {
+      sorted = &eng_.metrics().counter(pfx("functor.sort") +
+                                       std::to_string(hh) + ".records");
+    }
+    sorted->inc(block.size());
 
     std::size_t off = 0;
     std::uint32_t seq = 0;
@@ -1210,6 +1221,8 @@ class DsmSortSim {
   std::vector<std::size_t> count_in_;
   std::vector<std::vector<StoredRun>> stored_;  // per ASU
   std::vector<std::size_t> records_sorted_per_host_;
+  /// `functor.sort<h>.records`, looked up on the host's first run.
+  std::vector<obs::Counter*> sort_records_counters_;
   /// Live working set per sort instance (records staged toward
   /// incomplete runs) — the quantity its MigrationDeclaration reports.
   /// Pure bookkeeping on existing control flow: no events, no charges,

@@ -114,6 +114,15 @@ class Json {
     obj.emplace_back(std::string(key), Json());
     return obj.back().second;
   }
+  /// Append a member without operator[]'s duplicate-key search: O(1)
+  /// instead of O(members). The caller guarantees `key` is new — e.g. a
+  /// writer walking the unique names of a map.
+  Json& append_member(std::string key, Json v) {
+    type_ = Type::Object;
+    auto& obj = payload().obj;
+    obj.emplace_back(std::move(key), std::move(v));
+    return obj.back().second;
+  }
   [[nodiscard]] bool contains(std::string_view key) const noexcept {
     return find(key) != nullptr;
   }

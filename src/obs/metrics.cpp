@@ -133,18 +133,20 @@ Json MetricsRegistry::snapshot() const {
   // Collectors publish owner-side state (and may create instruments), so
   // they must run before the maps are walked.
   for (const auto& [id, fn] : collectors_) fn();
+  // Names are unique within a section, so members are appended directly
+  // (operator[] would search each section per insert: O(N^2) overall).
   Json out = Json::object();
-  Json& counters = out["counters"] = Json::object();
+  Json& counters = out.append_member("counters", Json::object());
   for (const auto* e : sorted_entries(counters_)) {
-    counters[e->first] = Json(e->second->value());
+    counters.append_member(e->first, Json(e->second->value()));
   }
-  Json& gauges = out["gauges"] = Json::object();
+  Json& gauges = out.append_member("gauges", Json::object());
   for (const auto* e : sorted_entries(gauges_)) {
-    gauges[e->first] = Json(e->second->value());
+    gauges.append_member(e->first, Json(e->second->value()));
   }
   // Both histogram kinds share one section, name-sorted across kinds
   // (names are unique across kinds, so the merge cannot collide).
-  Json& hists = out["histograms"] = Json::object();
+  Json& hists = out.append_member("histograms", Json::object());
   std::vector<std::pair<const std::string*, Json>> merged;
   merged.reserve(histograms_.size() + latencies_.size());
   for (const auto* e : sorted_entries(histograms_)) {
@@ -161,14 +163,14 @@ Json MetricsRegistry::snapshot() const {
   }
   std::sort(merged.begin(), merged.end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  for (auto& [name, j] : merged) hists[*name] = std::move(j);
+  for (auto& [name, j] : merged) hists.append_member(*name, std::move(j));
   return out;
 }
 
 Json MetricsRegistry::latency_summaries() const {
   Json out = Json::object();
   for (const auto* e : sorted_entries(latencies_)) {
-    out[e->first] = e->second->summary_json();
+    out.append_member(e->first, e->second->summary_json());
   }
   return out;
 }

@@ -103,6 +103,10 @@ class Engine {
   }
 
   /// Take ownership of a root task and schedule its first resume now.
+  /// A root that returns normally is unlinked and its frame freed during
+  /// run(), right after the resume that finished it, so the engine's
+  /// memory follows the processes in flight rather than every process
+  /// ever spawned. A root that throws stays linked (see run()).
   void spawn(Task<> task) { spawn(std::move(task), std::string()); }
 
   /// Named spawn: the name shows up in deadlock diagnostics
@@ -192,19 +196,26 @@ class Engine {
   /// run() drains the queue means blocked (deadlocked or starved) processes.
   [[nodiscard]] std::size_t unfinished_tasks() const noexcept;
 
-  /// Names of blocked root tasks, so diagnostics can name the offender
-  /// instead of printing a count. Unnamed tasks report as "<anonymous>".
+  /// Names of blocked root tasks in spawn order, so diagnostics can name
+  /// the offender instead of printing a count. Unnamed tasks report as
+  /// "<anonymous>".
   [[nodiscard]] std::vector<std::string> unfinished_task_names() const;
+
+  /// Root frames the engine still holds. After run() returns this is
+  /// unfinished_tasks() plus the failed roots not yet reaped: returned
+  /// roots free themselves.
+  [[nodiscard]] std::size_t retained_roots() const noexcept {
+    return roots_.size() - root_holes_;
+  }
 
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return events_.size();
   }
 
-  /// Drop completed root task frames (optional; frees memory in long
-  /// runs). Also erases the frames' trace-name entries — a later spawn
-  /// reusing a freed frame address must not inherit a dead task's name —
-  /// and clears the root-failure latch when the last failed root goes,
-  /// so an engine whose failure was handled can keep running.
+  /// Drop completed root frames that did not free themselves — the
+  /// failed roots. Reaping is how a caller acknowledges a failure after
+  /// run() rethrew it: the root-failure latch clears when the last failed
+  /// root goes, so an engine whose failure was handled can keep running.
   void reap_completed();
 
   /// Trace-name entries currently held for named roots (diagnostic; the
@@ -242,26 +253,41 @@ class Engine {
       return a.seq < b.seq;
     }
   };
+  /// One spawned root. A reaped root leaves a hole (empty task) until
+  /// the next compaction, so slots — which the root's promise records —
+  /// stay stable between compactions and spawn order is never disturbed.
   struct Root {
     Task<> task;
     std::string name;
   };
 
+  friend void detail::root_finished(Engine&, std::uint32_t, bool) noexcept;
+
   std::size_t run_fast(SimTime until);
   std::size_t run_traced(SimTime until);
   void rethrow_root_failure() const;
+  /// Free the frames of the roots that returned since the last call.
+  void reap_returned();
+  /// Free one root's frame and leave a hole in its slot.
+  void free_root(std::size_t slot);
+  /// Squeeze the holes out of roots_, renumbering the survivors' slots.
+  void compact_roots();
 
   MetricsSource* sources_ = nullptr;
   FourAryHeap<Event, EventBefore> events_;
-  std::vector<Root> roots_;
+  std::vector<Root> roots_;  // spawn order, with holes
+  std::size_t root_holes_ = 0;
+  // Slots of roots that returned during the current resume; the run loop
+  // frees them once the resume unwinds.
+  std::vector<std::uint32_t> returned_roots_;
   // Handle address -> name, for labeling resumes while tracing.
   std::unordered_map<const void*, std::string> named_roots_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t clamped_schedules_ = 0;
-  // Latched by a root task's unhandled_exception (via PromiseBase); the
-  // run loops poll it so the queue stops at the first failed root.
+  // Latched by a failed root's final suspend (detail::root_finished);
+  // the run loops poll it so the queue stops at the first failed root.
   bool root_failed_ = false;
   std::uint64_t digest_ = 0xcbf29ce484222325ULL;  // FNV offset basis
   obs::Sampler* sampler_ = nullptr;

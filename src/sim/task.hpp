@@ -1,6 +1,8 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <utility>
 
@@ -9,7 +11,37 @@ namespace lmas::sim {
 template <typename T = void>
 class Task;
 
+class Engine;
+
 namespace detail {
+
+// The frame pool is compiled out under AddressSanitizer, which can only
+// see a use-after-free of a frame whose memory really went back to it.
+#if defined(__SANITIZE_ADDRESS__)
+#define LMAS_FRAME_POOL 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define LMAS_FRAME_POOL 0
+#endif
+#endif
+#ifndef LMAS_FRAME_POOL
+#define LMAS_FRAME_POOL 1
+#endif
+
+/// Coroutine frame storage: a per-thread free list per size class, so the
+/// steady churn of short-lived frames (one detached deliver() root per
+/// packet, one child task per resource charge) recycles memory instead of
+/// going to malloc each time. Engine-independent and safe across threads:
+/// a frame freed on another thread joins that thread's cache. Defined in
+/// engine.cpp; with LMAS_FRAME_POOL 0 both pass straight through to
+/// ::operator new/delete.
+[[nodiscard]] void* frame_alloc(std::size_t bytes);
+void frame_free(void* p, std::size_t bytes) noexcept;
+
+/// Engine hook for root tasks (engine.cpp), called at a root's final
+/// suspend: a root that returned queues its slot to be unlinked and
+/// freed; a root that threw latches the engine's failure flag.
+void root_finished(Engine& eng, std::uint32_t slot, bool failed) noexcept;
 
 /// Shared state for all task promises: completion continuation and
 /// exception propagation. Tasks are lazily started (suspend at entry) so
@@ -18,12 +50,17 @@ struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 
-  /// Set by Engine::spawn on root tasks only: points at the engine's
-  /// root-failure latch so the run loop can stop at the event that killed
-  /// a root instead of draining the queue first. Child tasks leave it
-  /// null — their exceptions rethrow into the awaiting parent, which is
-  /// already prompt.
-  bool* root_failure_latch = nullptr;
+  /// Set by Engine::spawn on root tasks only: the owning engine and the
+  /// root's slot in its root table. Child tasks leave it null — their
+  /// exceptions rethrow into the awaiting parent, and the parent's frame
+  /// owns theirs.
+  Engine* root_engine = nullptr;
+  std::uint32_t root_slot = 0;
+
+  static void* operator new(std::size_t bytes) { return frame_alloc(bytes); }
+  static void operator delete(void* p, std::size_t bytes) noexcept {
+    frame_free(p, bytes);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 
@@ -32,8 +69,15 @@ struct PromiseBase {
     template <typename P>
     std::coroutine_handle<> await_suspend(
         std::coroutine_handle<P> h) noexcept {
-      auto cont = h.promise().continuation;
-      return cont ? cont : std::noop_coroutine();
+      PromiseBase& p = h.promise();
+      if (p.continuation) return p.continuation;
+      // Roots are never awaited, so they report to the engine: a returned
+      // root's frame is freed once this resume unwinds; a failed root
+      // stays linked so run() can rethrow its exception.
+      if (p.root_engine != nullptr) {
+        root_finished(*p.root_engine, p.root_slot, p.exception != nullptr);
+      }
+      return std::noop_coroutine();
     }
     void await_resume() const noexcept {}
   };
@@ -41,7 +85,6 @@ struct PromiseBase {
 
   void unhandled_exception() noexcept {
     exception = std::current_exception();
-    if (root_failure_latch != nullptr) *root_failure_latch = true;
   }
 };
 
@@ -64,7 +107,8 @@ struct Promise<void> : PromiseBase {
 
 /// A lazily-started coroutine owned by its handle. Awaiting a Task starts
 /// it via symmetric transfer; when it finishes, control returns to the
-/// awaiter at the same virtual time. Root tasks are owned by the Engine.
+/// awaiter at the same virtual time. Root tasks are owned by the Engine,
+/// which frees each one's frame as soon as it returns.
 template <typename T>
 class [[nodiscard]] Task {
  public:

@@ -391,4 +391,25 @@ TEST(DsmSort, RackAffinityFlagIsFlatNeutral) {
   EXPECT_EQ(on.pass1_seconds, off.pass1_seconds);
 }
 
+// Every packet the pipeline sends is a detached deliver() root. Once
+// run() returns the engine must hold only the roots still blocked (or
+// failed), not one frame per packet ever sent; the fig9 fan-out corner
+// sends the most packets per record.
+TEST(DsmSort, EngineRetainsOnlyUnfinishedRootsAfterRun) {
+  core::DsmSortConfig cfg;
+  cfg.total_records = std::size_t(1) << 16;
+  cfg.alpha = 256;
+  cfg.log2_alpha_beta = 18;
+  cfg.seed = 1;
+  lmas::sim::Engine eng;
+  asu::Cluster cluster(eng, machine(1, 64));
+  core::DsmSortJob job(eng, cluster, cfg);
+  eng.spawn(job.body(), "fig9-fanout");
+  eng.run();
+  ASSERT_TRUE(job.finished());
+  EXPECT_TRUE(job.report().ok());
+  EXPECT_GT(eng.events_processed(), 1000u);
+  EXPECT_EQ(eng.retained_roots(), eng.unfinished_tasks());
+}
+
 }  // namespace

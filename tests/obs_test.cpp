@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -88,6 +89,56 @@ TEST(Metrics, SnapshotRoundTripsThroughParser) {
   EXPECT_EQ(parsed->at("histograms").at("lat").at("count").as_int(), 1);
   // Keys are emitted sorted for deterministic artifacts.
   EXPECT_EQ(parsed->at("counters").members()[0].first, "a.count");
+}
+
+TEST(Metrics, SnapshotOfThousandsOfNamesMatchesKeyedInsertion) {
+  // The snapshot appends members instead of inserting each through
+  // Json::operator[] (a linear key search, O(N^2) per snapshot). The
+  // document must be byte-identical to the keyed-insertion build.
+  obs::MetricsRegistry reg;
+  std::vector<std::string> counters, gauges, hists, lats;
+  for (int i = 0; i < 3000; ++i) {
+    // Scrambled so registration order differs from name order.
+    const std::string id = std::to_string((i * 7919) % 3000);
+    counters.push_back("c." + id);
+    gauges.push_back("g." + id);
+    reg.counter(counters.back()).inc(std::uint64_t(i));
+    reg.gauge(gauges.back()).set(0.5 * i);
+    if (i % 10 == 0) {
+      hists.push_back("h." + id);
+      reg.histogram(hists.back(), {1.0, 10.0}).observe(double(i % 20));
+      lats.push_back("l." + id);
+      reg.latency(lats.back()).observe(1e-3 * (i + 1));
+    }
+  }
+  std::sort(counters.begin(), counters.end());
+  std::sort(gauges.begin(), gauges.end());
+  std::vector<std::string> all_hists = hists;
+  all_hists.insert(all_hists.end(), lats.begin(), lats.end());
+  std::sort(all_hists.begin(), all_hists.end());
+
+  obs::Json want = obs::Json::object();
+  obs::Json& wc = want["counters"] = obs::Json::object();
+  for (const auto& n : counters) wc[n] = obs::Json(reg.find_counter(n)->value());
+  obs::Json& wg = want["gauges"] = obs::Json::object();
+  for (const auto& n : gauges) wg[n] = obs::Json(reg.find_gauge(n)->value());
+  obs::Json& wh = want["histograms"] = obs::Json::object();
+  obs::Json want_summaries = obs::Json::object();
+  for (const auto& n : all_hists) {
+    if (const auto* h = reg.find_histogram(n)) {
+      obs::Json j = obs::Json::object();
+      j["count"] = obs::Json(h->count());
+      j["sum"] = obs::Json(h->sum());
+      j["bounds"] = obs::Json::array_of(h->bounds());
+      j["buckets"] = obs::Json::array_of(h->bucket_counts());
+      wh[n] = std::move(j);
+    } else {
+      wh[n] = reg.find_latency(n)->to_json();
+      want_summaries[n] = reg.find_latency(n)->summary_json();
+    }
+  }
+  EXPECT_EQ(reg.snapshot().dump(), want.dump());
+  EXPECT_EQ(reg.latency_summaries().dump(), want_summaries.dump());
 }
 
 // ------------------------------------------------------------------ json

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/sim.hpp"
@@ -203,6 +204,162 @@ TEST(Engine, ReapErasesTraceNamesWithFrames) {
   eng.spawn(immediate_exit(eng));
   eng.run();
   EXPECT_EQ(eng.traced_root_names(), 0u);
+}
+
+// Counts live copies: a root taking one by value keeps a copy in its
+// frame until the frame is freed.
+struct LiveCount {
+  int* live;
+  explicit LiveCount(int* l) : live(l) { ++*live; }
+  LiveCount(const LiveCount& o) : live(o.live) { ++*live; }
+  ~LiveCount() { --*live; }
+};
+
+sim::Task<> holds_by_value(sim::Engine& eng, LiveCount, double delay) {
+  co_await eng.sleep(delay);
+}
+
+TEST(EngineLifecycle, ReturnedRootsAreFreedDuringRun) {
+  // A returned root's frame (and the by-value arguments it holds) is
+  // freed while the engine lives, so memory follows the roots in flight,
+  // not every root ever spawned.
+  int live = 0;
+  sim::Engine eng;
+  for (int i = 0; i < 200; ++i) {
+    eng.spawn(holds_by_value(eng, LiveCount(&live), i < 100 ? 1.0 : 10.0));
+  }
+  EXPECT_EQ(live, 200);
+  eng.run(5.0);
+  EXPECT_EQ(live, 100);  // the early half returned and was freed
+  EXPECT_EQ(eng.retained_roots(), 100u);
+  EXPECT_EQ(eng.unfinished_tasks(), 100u);
+  eng.run();
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(eng.retained_roots(), 0u);
+}
+
+sim::Task<> named_waiter(sim::Condition& cv) { co_await cv.wait(); }
+
+TEST(EngineLifecycle, SpawnOrderSurvivesReaping) {
+  // Interleave returning and blocked roots so reaping leaves holes and
+  // compacts the root table: diagnostics must still list blocked roots
+  // in spawn order.
+  sim::Engine eng;
+  sim::Condition cv(eng);
+  std::vector<std::string> blocked;
+  for (int i = 0; i < 300; ++i) {
+    const std::string name = "r" + std::to_string(i);
+    if (i % 3 == 0) {
+      eng.spawn(named_waiter(cv), name);
+      blocked.push_back(name);
+    } else {
+      eng.spawn(immediate_exit(eng), name);
+    }
+  }
+  eng.run();
+  EXPECT_EQ(eng.unfinished_task_names(), blocked);
+  EXPECT_EQ(eng.retained_roots(), blocked.size());
+  cv.notify_all();
+  eng.run();
+  EXPECT_EQ(eng.unfinished_tasks(), 0u);
+  EXPECT_EQ(eng.retained_roots(), 0u);
+}
+
+struct BoomA : std::runtime_error {
+  BoomA() : std::runtime_error("a") {}
+};  // distinct types tell which root's failure run() rethrew
+struct BoomB : std::runtime_error {
+  BoomB() : std::runtime_error("b") {}
+};
+
+template <typename E>
+sim::Task<> throws_at(sim::Engine& eng, double t) {
+  co_await eng.sleep(t);
+  throw E{};
+}
+
+TEST(EngineLifecycle, FailedRootIsKeptRethrownAndAcknowledged) {
+  sim::Engine eng;
+  int live = 0;
+  for (int i = 0; i < 100; ++i) {
+    eng.spawn(holds_by_value(eng, LiveCount(&live), 0.5));
+  }
+  eng.spawn(throws_at<BoomA>(eng, 1.0), "fails-first");
+  eng.spawn(holds_by_value(eng, LiveCount(&live), 5.0));
+  EXPECT_THROW(eng.run(), BoomA);
+  // The returned roots are gone; the failed one is kept (its exception
+  // lives in its frame) beside the still-blocked sleeper.
+  EXPECT_EQ(live, 1);
+  EXPECT_EQ(eng.retained_roots(), 2u);
+  EXPECT_EQ(eng.unfinished_tasks(), 1u);
+  EXPECT_THROW(eng.run(), BoomA);  // stays failed until acknowledged
+  eng.reap_completed();
+  EXPECT_EQ(eng.retained_roots(), 1u);
+  // Once acknowledged, the engine runs on and a later failure is kept
+  // and rethrown the same way.
+  eng.spawn(throws_at<BoomB>(eng, 1.0));
+  EXPECT_THROW(eng.run(), BoomB);
+  EXPECT_EQ(eng.retained_roots(), 2u);
+  eng.reap_completed();
+  eng.run();
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(eng.retained_roots(), 0u);
+}
+
+TEST(EngineLifecycle, SelfReapErasesTraceNames) {
+  sim::Engine eng;
+  sim::Condition cv(eng);
+  eng.tracer().enable();
+  eng.spawn(immediate_exit(eng), "returns");
+  eng.spawn(named_waiter(cv), "blocked");
+  EXPECT_EQ(eng.traced_root_names(), 2u);
+  eng.run();
+  EXPECT_EQ(eng.traced_root_names(), 1u);  // no reap_completed() needed
+  cv.notify_all();
+  eng.run();
+  EXPECT_EQ(eng.traced_root_names(), 0u);
+}
+
+TEST(FramePool, FreedFrameIsReusedOnTheSameThread) {
+  if (!LMAS_FRAME_POOL) GTEST_SKIP() << "frame pool off under ASan";
+  sim::Engine eng;
+  const void* first = nullptr;
+  {
+    auto t = immediate_exit(eng);
+    first = t.handle().address();
+  }
+  auto again = immediate_exit(eng);
+  EXPECT_EQ(again.handle().address(), first);
+}
+
+TEST(FramePool, FramesFreedOnAnotherThreadAreSafe) {
+  // Frames allocated here are freed by a worker, which also builds and
+  // runs its own engine from its cache before exiting (the exit drains
+  // the cache). The TSan leg runs this case.
+  sim::Engine host;
+  std::vector<sim::Task<>> frames;
+  for (int i = 0; i < 64; ++i) frames.push_back(immediate_exit(host));
+  int live = 0;
+  std::thread worker([&] {
+    frames.clear();
+    sim::Engine eng;
+    for (int i = 0; i < 64; ++i) {
+      eng.spawn(holds_by_value(eng, LiveCount(&live), 1.0));
+    }
+    eng.run();
+  });
+  worker.join();
+  EXPECT_TRUE(frames.empty());
+  EXPECT_EQ(live, 0);
+  // And the other way: a frame from a finished worker freed here.
+  sim::Task<> moved;
+  std::thread producer([&] { moved = immediate_exit(host); });
+  producer.join();
+  EXPECT_TRUE(moved.valid());
+  moved = sim::Task<>();
+  host.spawn(immediate_exit(host));
+  host.run();
+  EXPECT_EQ(host.retained_roots(), 0u);
 }
 
 // Awaitable that reschedules its coroutine at an absolute (possibly
