@@ -49,26 +49,23 @@ RunResult run_filter(bool on_asus) {
   for (unsigned i = 0; i < mp.num_asus; ++i) asus.push_back(&cluster.asu(i));
   std::vector<asu::Node*> host = {&cluster.host(0)};
 
-  core::Program prog(cluster);
-  prog.set_source("scan", asus, make_source(64, 512));
   const core::FunctorCost filter_cost{60e-9, 1e-6};
-  prog.add_stage({.name = "filter",
-                  .make =
-                      [&](unsigned) {
-                        return std::make_unique<core::FilterFunctor>(
-                            [](const lmas::em::KeyRecord& r) {
-                              return (r.key & 0xff) == 0;  // 1/256 kept
-                            },
-                            filter_cost);
-                      },
-                  .placement = on_asus ? asus : host});
-  prog.add_stage({.name = "collect",
-                  .make = [&](unsigned) {
-                    return std::make_unique<core::MapFunctor>(
-                        [](const lmas::em::KeyRecord& r) { return r; },
-                        core::FunctorCost{20e-9, 0});
-                  },
-                  .placement = host});
+  std::vector<core::ProgramStageSpec> stages;
+  stages.push_back(core::source_stage("scan", asus, make_source(64, 512)));
+  stages.push_back(core::functor_stage(
+      "filter", on_asus ? asus : host, [&](unsigned) {
+        return std::make_unique<core::FilterFunctor>(
+            [](const lmas::em::KeyRecord& r) {
+              return (r.key & 0xff) == 0;  // 1/256 kept
+            },
+            filter_cost);
+      }));
+  stages.push_back(core::functor_stage("collect", host, [&](unsigned) {
+    return std::make_unique<core::MapFunctor>(
+        [](const lmas::em::KeyRecord& r) { return r; },
+        core::FunctorCost{20e-9, 0});
+  }));
+  core::Program prog(cluster, std::move(stages));
   auto stats = prog.run();
 
   RunResult rr{};

@@ -63,6 +63,14 @@ inline core::KeyDist gen_key_dist(sim::Rng& rng) {
   return kAll[rng.below(std::size(kAll))];
 }
 
+/// The router kinds every generator draws from (one draw).
+inline core::RouterKind gen_router_kind(sim::Rng& rng) {
+  constexpr core::RouterKind kKinds[] = {
+      core::RouterKind::Static, core::RouterKind::RoundRobin,
+      core::RouterKind::SimpleRandomization, core::RouterKind::LeastLoaded};
+  return kKinds[rng.below(std::size(kKinds))];
+}
+
 /// DSM-Sort configuration with a valid α·β·γ = n split: n = 2^log2_n,
 /// K = α·β = 2^log2_ab ≤ n, α = 2^log2_a ≤ K, so γ = n / K ≥ 1 exactly.
 /// Size scales n (2^10 .. 2^13) to keep a 100-case suite interactive.
@@ -78,10 +86,7 @@ inline core::DsmSortConfig gen_dsm_config(sim::Rng& rng, unsigned size) {
   cfg.key_dist = gen_key_dist(rng);
   cfg.splitters = rng.below(4) == 0 ? core::DsmSortConfig::Splitters::Sampled
                                     : core::DsmSortConfig::Splitters::Range;
-  constexpr core::RouterKind kRouters[] = {
-      core::RouterKind::Static, core::RouterKind::RoundRobin,
-      core::RouterKind::SimpleRandomization, core::RouterKind::LeastLoaded};
-  cfg.sort_router = kRouters[rng.below(std::size(kRouters))];
+  cfg.sort_router = gen_router_kind(rng);
   cfg.run_merge_pass = rng.below(4) == 0;
   cfg.seed = rng.next();
   if (cfg.run_merge_pass) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,7 +16,7 @@
 #include "check/generators.hpp"
 #include "core/adaptive.hpp"
 #include "core/dsm_sort.hpp"
-#include "core/pipeline.hpp"
+#include "core/program.hpp"
 #include "extmem/sort.hpp"
 #include "fault/fault.hpp"
 #include "extmem/stream.hpp"
@@ -104,84 +105,118 @@ std::optional<std::string> prop_permutation(sim::Rng& rng, unsigned size) {
   return std::nullopt;
 }
 
-// ---- packet order --------------------------------------------------
+// ---- packet plans --------------------------------------------------
 
-sim::Task<> plan_producer(core::StageOutput& out, asu::Node& from,
-                          std::vector<core::Packet> pkts) {
+sim::Task<> emit_plan(core::StageInstance io,
+                      std::vector<core::Packet> pkts) {
   for (auto& p : pkts) {
-    co_await out.emit(from, std::move(p));
+    co_await io.output->emit(*io.node, std::move(p));
   }
-  out.producer_done();
 }
 
-sim::Task<> plan_consumer(sim::Channel<core::Packet>& in,
-                          std::vector<core::Packet>& got) {
-  while (auto p = co_await in.recv()) {
+sim::Task<> collect_plan(core::StageInstance io,
+                         std::vector<core::Packet>& got) {
+  while (auto p = co_await io.inbox->recv()) {
+    // Pump-pause convention: accepted packets wait out a crash window.
+    while (!io.node->running()) co_await io.node->health_wait();
     got.push_back(std::move(*p));
   }
 }
 
-std::optional<std::string> prop_packet_order(sim::Rng& rng, unsigned size) {
-  PacketPlan plan = gen_packet_plan(rng, size);
-  constexpr core::RouterKind kRouters[] = {
-      core::RouterKind::Static, core::RouterKind::RoundRobin,
-      core::RouterKind::SimpleRandomization, core::RouterKind::LeastLoaded};
-  const core::RouterKind kind = kRouters[rng.below(std::size(kRouters))];
+struct PlanRun {
+  std::size_t packets = 0;
+  std::size_t records = 0;
+  std::vector<std::vector<core::Packet>> got;  // per target
+  std::uint64_t digest = 0;
+  std::size_t unfinished = 0;
+  double makespan = 0;
+};
 
-  asu::MachineParams mp;
-  mp.num_hosts = plan.targets;   // consumers
-  mp.num_asus = plan.producers;  // producers
+/// The machine of one PacketPlan run: a node per plan producer on one
+/// tier and a consumer node per target on the other — the ASUs (the
+/// crashable tier) when `to_asus` — plus `spare_hosts` idle hosts.
+struct PlanRig {
+  PlanRig(const PacketPlan& plan, bool to_asus, unsigned spare_hosts = 0)
+      : plan(&plan),
+        to_asus(to_asus),
+        cluster(eng, shape(plan, to_asus, spare_hosts)) {}
+
+  static asu::MachineParams shape(const PacketPlan& plan, bool to_asus,
+                                  unsigned spare_hosts = 0) {
+    asu::MachineParams mp;
+    mp.num_hosts = (to_asus ? plan.producers : plan.targets) + spare_hosts;
+    mp.num_asus = to_asus ? plan.targets : plan.producers;
+    return mp;
+  }
+
+  /// Drive the plan as a two-stage Program: each producer emits its
+  /// packets in order through `input` (window 4, inboxes of 4), each
+  /// consumer collects what reaches it. `after` runs once the instances
+  /// are spawned, with the consumers' StageOutput.
+  PlanRun run(core::StageSpec input,
+              const std::function<void(core::StageOutput&)>& after = {}) {
+    std::vector<asu::Node*> from, to;
+    for (unsigned p = 0; p < plan->producers; ++p) {
+      from.push_back(to_asus ? &cluster.host(p) : &cluster.asu(p));
+    }
+    for (unsigned t = 0; t < plan->targets; ++t) {
+      to.push_back(to_asus ? &cluster.asu(t) : &cluster.host(t));
+    }
+    PlanRun res;
+    res.got.resize(plan->targets);
+    input.window_per_producer = 4;
+    std::vector<core::ProgramStageSpec> stages;
+    stages.push_back({.name = "producer",
+                      .placement = std::move(from),
+                      .body = [this](core::StageInstance io) {
+                        return emit_plan(io, plan->per_producer[io.index]);
+                      }});
+    stages.push_back({.name = "consumer",
+                      .placement = std::move(to),
+                      .body = [&res](core::StageInstance io) {
+                        return collect_plan(io, res.got[io.index]);
+                      },
+                      .inbox_packets = 4,
+                      .input = std::move(input)});
+    core::Program prog(cluster, std::move(stages));
+    prog.start();
+    if (after) after(prog.input(1));
+    eng.run();
+    for (const auto& g : res.got) {
+      res.packets += g.size();
+      for (const auto& p : g) res.records += p.records.size();
+    }
+    res.digest = eng.digest();
+    res.unfinished = eng.unfinished_tasks();
+    res.makespan = eng.now();
+    return res;
+  }
+
+  const PacketPlan* plan;
+  bool to_asus;
   sim::Engine eng;
-  asu::Cluster cluster(eng, mp);
+  asu::Cluster cluster;
+};
 
-  core::StageInboxes inboxes(eng, plan.targets, /*capacity_packets=*/4);
-  std::vector<asu::Node*> nodes;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    nodes.push_back(&cluster.host(t));
-  }
-  core::StageOutput out(
-      eng, cluster.network(),
-      core::StageSpec{
-          .record_bytes = mp.record_bytes,
-          .endpoints = inboxes.endpoints(nodes),
-          .router = core::make_router(
-              {.kind = kind, .rng = rng.split(), .total_subsets = plan.subsets}),
-          .producers = plan.producers,
-          .window_per_producer = 4,
-          .name = "prop.stage"});
-
-  std::size_t packets_sent = 0;
-  for (unsigned p = 0; p < plan.producers; ++p) {
-    packets_sent += plan.per_producer[p].size();
-    eng.spawn(plan_producer(out, cluster.asu(p),
-                            std::move(plan.per_producer[p])));
-  }
-  std::vector<std::vector<core::Packet>> got(plan.targets);
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    eng.spawn(plan_consumer(inboxes.inbox(t), got[t]));
-  }
-  eng.run();
-
-  std::size_t packets_got = 0, records_got = 0;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    // Per (producer, subset), the seqs seen at one instance must be a
-    // strictly increasing subsequence of the producer's emission order.
+/// The set contract as a plan run can break it: a packet whose records
+/// left their emission order (plan packets number them 0, 1, ...) or,
+/// when `ordered`, a per-(producer, subset) stream that reached one
+/// instance out of seq order. Seqs seen at an instance must be a strictly
+/// increasing subsequence of the producer's emission order.
+std::optional<std::string> contract_violation(const PlanRun& run,
+                                              bool ordered) {
+  for (unsigned t = 0; t < run.got.size(); ++t) {
     std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> last;
-    for (const auto& p : got[t]) {
-      ++packets_got;
-      records_got += p.records.size();
-      const auto key = std::make_pair(p.run_id, p.subset);
-      auto [it, fresh] = last.try_emplace(key, p.seq);
-      if (!fresh) {
-        if (p.seq <= it->second) {
+    for (const auto& p : run.got[t]) {
+      if (ordered) {
+        auto [it, fresh] = last.try_emplace({p.run_id, p.subset}, p.seq);
+        if (!fresh && p.seq <= it->second) {
           return fmt("instance %u saw producer %u subset %u seq %u after "
-                     "seq %u (router=%s)",
-                     t, p.run_id, p.subset, p.seq, it->second,
-                     core::router_kind_name(kind));
+                     "seq %u",
+                     t, p.run_id, p.subset, p.seq, it->second);
         }
         it->second = p.seq;
       }
-      // Records stay together and in order within the packet.
       for (std::size_t r = 0; r < p.records.size(); ++r) {
         if (p.records[r].id != std::uint32_t(r)) {
           return fmt("packet records reordered at instance %u", t);
@@ -189,14 +224,39 @@ std::optional<std::string> prop_packet_order(sim::Rng& rng, unsigned size) {
       }
     }
   }
-  if (packets_got != packets_sent || records_got != plan.total_records) {
+  return std::nullopt;
+}
+
+std::size_t packets_in(const PacketPlan& plan) {
+  std::size_t n = 0;
+  for (const auto& pp : plan.per_producer) n += pp.size();
+  return n;
+}
+
+// ---- packet order --------------------------------------------------
+
+std::optional<std::string> prop_packet_order(sim::Rng& rng, unsigned size) {
+  const PacketPlan plan = gen_packet_plan(rng, size);
+  const core::RouterKind kind = gen_router_kind(rng);
+  const std::size_t packets_sent = packets_in(plan);
+
+  PlanRig rig(plan, /*to_asus=*/false);
+  const PlanRun run = rig.run(
+      {.router = core::make_router(
+           {.kind = kind, .rng = rng.split(), .total_subsets = plan.subsets}),
+       .name = "prop.stage"});
+
+  if (auto v = contract_violation(run, /*ordered=*/true)) {
+    return *v + fmt(" (router=%s)", core::router_kind_name(kind));
+  }
+  if (run.packets != packets_sent || run.records != plan.total_records) {
     return fmt("lost traffic: %zu/%zu packets, %zu/%zu records "
                "(router=%s)",
-               packets_got, packets_sent, records_got, plan.total_records,
+               run.packets, packets_sent, run.records, plan.total_records,
                core::router_kind_name(kind));
   }
-  if (eng.unfinished_tasks() != 0) {
-    return fmt("%zu tasks still blocked after run", eng.unfinished_tasks());
+  if (run.unfinished != 0) {
+    return fmt("%zu tasks still blocked after run", run.unfinished);
   }
   return std::nullopt;
 }
@@ -435,95 +495,36 @@ std::optional<std::string> prop_fault_conservation(sim::Rng& rng,
 
 // ---- fault routing -------------------------------------------------
 
-sim::Task<> fault_consumer(asu::Node& node, sim::Channel<core::Packet>& in,
-                           std::vector<core::Packet>& got) {
-  while (auto p = co_await in.recv()) {
-    // Pump-pause convention: accepted packets wait out a crash window.
-    while (!node.running()) co_await node.health_wait();
-    got.push_back(std::move(*p));
-  }
-}
-
-struct RoutedRun {
-  std::size_t packets = 0;
-  std::size_t records = 0;
-  std::vector<std::vector<core::Packet>> got;  // per target
-  std::uint64_t digest = 0;
-  std::size_t unfinished = 0;
-  double makespan = 0;
-};
-
-/// Drive a PacketPlan through one StageOutput with consumers on ASUs (the
-/// crashable tier) under `faults`; empty plan = fault-free baseline.
-RoutedRun run_routed_plan(const PacketPlan& plan, core::RouterKind kind,
-                          sim::Rng router_rng, std::uint64_t fault_seed,
-                          const fault::FaultPlan& faults) {
-  asu::MachineParams mp;
-  mp.num_hosts = plan.producers;
-  mp.num_asus = plan.targets;
-  sim::Engine eng;
-  asu::Cluster cluster(eng, mp);
-
-  core::StageInboxes inboxes(eng, plan.targets, /*capacity_packets=*/4);
-  std::vector<asu::Node*> nodes;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    nodes.push_back(&cluster.asu(t));
-  }
-  core::StageOutput out(
-      eng, cluster.network(),
-      core::StageSpec{
-          .record_bytes = mp.record_bytes,
-          .endpoints = inboxes.endpoints(nodes),
-          .router = core::make_router(
-              {.kind = kind, .rng = router_rng, .total_subsets = plan.subsets}),
-          .producers = plan.producers,
-          .window_per_producer = 4,
-          .name = "prop.fault_stage"});
+/// Drive a PacketPlan with consumers on ASUs (the crashable tier) under
+/// `faults`; empty plan = fault-free baseline.
+PlanRun run_routed_plan(const PacketPlan& plan, core::RouterKind kind,
+                        sim::Rng router_rng, std::uint64_t fault_seed,
+                        const fault::FaultPlan& faults) {
+  PlanRig rig(plan, /*to_asus=*/true);
   std::unique_ptr<fault::FaultInjector> inj;
   if (!faults.empty()) {
-    out.set_fault_retry(faults.retry_timeout, faults.max_retries);
     inj = std::make_unique<fault::FaultInjector>(
-        cluster, faults,
+        rig.cluster, faults,
         sim::Rng(fault_seed).stream(sim::stream_id("faults")));
-    eng.spawn(inj->run(), "fault-injector");
+    rig.eng.spawn(inj->run(), "fault-injector");
   }
-
-  RoutedRun res;
-  res.got.resize(plan.targets);
-  for (unsigned p = 0; p < plan.producers; ++p) {
-    eng.spawn(plan_producer(out, cluster.host(p), plan.per_producer[p]));
-  }
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    eng.spawn(fault_consumer(cluster.asu(t), inboxes.inbox(t), res.got[t]));
-  }
-  eng.run();
-  for (const auto& g : res.got) {
-    res.packets += g.size();
-    for (const auto& p : g) res.records += p.records.size();
-  }
-  res.digest = eng.digest();
-  res.unfinished = eng.unfinished_tasks();
-  res.makespan = eng.now();
-  return res;
+  return rig.run({.router = core::make_router({.kind = kind,
+                                               .rng = router_rng,
+                                               .total_subsets = plan.subsets}),
+                  .name = "prop.fault_stage",
+                  .retry_timeout = faults.retry_timeout,
+                  .max_retries = faults.max_retries});
 }
 
 std::optional<std::string> prop_fault_routing(sim::Rng& rng, unsigned size) {
-  PacketPlan plan = gen_packet_plan(rng, size);
-  constexpr core::RouterKind kRouters[] = {
-      core::RouterKind::Static, core::RouterKind::RoundRobin,
-      core::RouterKind::SimpleRandomization, core::RouterKind::LeastLoaded};
-  const core::RouterKind kind = kRouters[rng.below(std::size(kRouters))];
+  const PacketPlan plan = gen_packet_plan(rng, size);
+  const core::RouterKind kind = gen_router_kind(rng);
   const sim::Rng router_rng = rng.split();
   const std::uint64_t fault_seed = rng.next();
+  const std::size_t packets_sent = packets_in(plan);
+  const asu::MachineParams shape = PlanRig::shape(plan, /*to_asus=*/true);
 
-  std::size_t packets_sent = 0;
-  for (const auto& pp : plan.per_producer) packets_sent += pp.size();
-
-  asu::MachineParams shape;
-  shape.num_hosts = plan.producers;
-  shape.num_asus = plan.targets;
-
-  const RoutedRun base =
+  const PlanRun base =
       run_routed_plan(plan, kind, router_rng, fault_seed, {});
   if (base.unfinished != 0) {
     return fmt("baseline left %zu tasks blocked", base.unfinished);
@@ -531,7 +532,7 @@ std::optional<std::string> prop_fault_routing(sim::Rng& rng, unsigned size) {
   const fault::FaultPlan faults =
       gen_fault_plan(rng, shape, base.makespan, size);
 
-  const RoutedRun faulted =
+  const PlanRun faulted =
       run_routed_plan(plan, kind, router_rng, fault_seed, faults);
   if (faulted.unfinished != 0) {
     return fmt("%zu tasks still blocked under faults (%zu events, "
@@ -548,15 +549,8 @@ std::optional<std::string> prop_fault_routing(sim::Rng& rng, unsigned size) {
                core::router_kind_name(kind));
   }
   // Records stay together and in order within every delivered packet.
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    for (const auto& p : faulted.got[t]) {
-      for (std::size_t r = 0; r < p.records.size(); ++r) {
-        if (p.records[r].id != std::uint32_t(r)) {
-          return fmt("packet records reordered at instance %u under faults",
-                     t);
-        }
-      }
-    }
+  if (auto v = contract_violation(faulted, /*ordered=*/false)) {
+    return *v + " under faults";
   }
   // Router balance: when the plan never shrinks the target set (no
   // crashes), SR's floor/ceil bound must survive slowdowns and link
@@ -589,7 +583,7 @@ std::optional<std::string> prop_fault_routing(sim::Rng& rng, unsigned size) {
     }
   }
   // Same plan, same seeds: the faulted run replays bit-identically.
-  const RoutedRun again =
+  const PlanRun again =
       run_routed_plan(plan, kind, router_rng, fault_seed, faults);
   if (again.digest != faulted.digest) {
     return fmt("same fault plan, different digests (router=%s)",
@@ -614,28 +608,11 @@ sim::Task<> switch_controller(sim::Engine& eng, core::SwitchableRouter* sw,
   }
 }
 
-struct SwitchedRun {
-  std::vector<std::vector<core::Packet>> got;  // per target
-  std::uint64_t digest = 0;
-  std::size_t unfinished = 0;
-};
-
-SwitchedRun run_switched_plan(const PacketPlan& plan,
-                              core::RouterKind baseline,
-                              core::RouterKind dynamic,
-                              sim::Rng base_rng, sim::Rng dyn_rng,
-                              const std::vector<double>& toggles) {
-  asu::MachineParams mp;
-  mp.num_hosts = plan.targets;
-  mp.num_asus = plan.producers;
-  sim::Engine eng;
-  asu::Cluster cluster(eng, mp);
-
-  core::StageInboxes inboxes(eng, plan.targets, /*capacity_packets=*/4);
-  std::vector<asu::Node*> nodes;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    nodes.push_back(&cluster.host(t));
-  }
+PlanRun run_switched_plan(const PacketPlan& plan, core::RouterKind baseline,
+                          core::RouterKind dynamic, sim::Rng base_rng,
+                          sim::Rng dyn_rng,
+                          const std::vector<double>& toggles) {
+  PlanRig rig(plan, /*to_asus=*/false);
   // The production composition: metrics wrapper outside, hot-swap
   // decorator inside, concrete policies innermost.
   auto sw = std::make_unique<core::SwitchableRouter>(
@@ -644,39 +621,18 @@ SwitchedRun run_switched_plan(const PacketPlan& plan,
       core::make_router(
           {.kind = dynamic, .rng = dyn_rng, .total_subsets = plan.subsets}));
   core::SwitchableRouter* sw_raw = sw.get();
-  core::StageOutput out(
-      eng, cluster.network(),
-      core::StageSpec{
-          .record_bytes = mp.record_bytes,
-          .endpoints = inboxes.endpoints(nodes),
-          .router = std::make_unique<core::InstrumentedRouter>(
-              std::move(sw), eng, "lmswitch"),
-          .producers = plan.producers,
-          .window_per_producer = 4,
-          .name = "prop.lmswitch"});
-
-  SwitchedRun res;
-  res.got.resize(plan.targets);
-  for (unsigned p = 0; p < plan.producers; ++p) {
-    eng.spawn(plan_producer(out, cluster.asu(p), plan.per_producer[p]));
-  }
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    eng.spawn(plan_consumer(inboxes.inbox(t), res.got[t]));
-  }
-  eng.spawn(switch_controller(eng, sw_raw, toggles));
-  eng.run();
-  res.digest = eng.digest();
-  res.unfinished = eng.unfinished_tasks();
-  return res;
+  return rig.run({.router = std::make_unique<core::InstrumentedRouter>(
+                      std::move(sw), rig.eng, "lmswitch"),
+                  .name = "prop.lmswitch"},
+                 [&](core::StageOutput&) {
+                   rig.eng.spawn(switch_controller(rig.eng, sw_raw, toggles));
+                 });
 }
 
 std::optional<std::string> prop_lm_switch(sim::Rng& rng, unsigned size) {
-  PacketPlan plan = gen_packet_plan(rng, size);
-  constexpr core::RouterKind kRouters[] = {
-      core::RouterKind::Static, core::RouterKind::RoundRobin,
-      core::RouterKind::SimpleRandomization, core::RouterKind::LeastLoaded};
-  const core::RouterKind baseline = kRouters[rng.below(std::size(kRouters))];
-  const core::RouterKind dynamic = kRouters[rng.below(std::size(kRouters))];
+  const PacketPlan plan = gen_packet_plan(rng, size);
+  const core::RouterKind baseline = gen_router_kind(rng);
+  const core::RouterKind dynamic = gen_router_kind(rng);
   const sim::Rng base_rng = rng.split();
   const sim::Rng dyn_rng = rng.split();
   // Promote/demote at random instants spanning microseconds to
@@ -685,10 +641,9 @@ std::optional<std::string> prop_lm_switch(sim::Rng& rng, unsigned size) {
   std::vector<double> toggles(1 + rng.below(8));
   for (double& d : toggles) d = double(1 + rng.below(1000)) * 1e-5;
 
-  std::size_t packets_sent = 0;
-  for (const auto& pp : plan.per_producer) packets_sent += pp.size();
+  const std::size_t packets_sent = packets_in(plan);
 
-  const SwitchedRun run =
+  const PlanRun run =
       run_switched_plan(plan, baseline, dynamic, base_rng, dyn_rng, toggles);
   if (run.unfinished != 0) {
     return fmt("%zu tasks still blocked after hot-swapped run",
@@ -697,40 +652,19 @@ std::optional<std::string> prop_lm_switch(sim::Rng& rng, unsigned size) {
   // Hot-swapping the policy mid-run must not weaken the set contract at
   // all: every per-(producer, subset) stream still arrives seq-ordered at
   // every instance, packets stay intact, nothing is lost.
-  std::size_t packets_got = 0, records_got = 0;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> last;
-    for (const auto& p : run.got[t]) {
-      ++packets_got;
-      records_got += p.records.size();
-      const auto key = std::make_pair(p.run_id, p.subset);
-      auto [it, fresh] = last.try_emplace(key, p.seq);
-      if (!fresh) {
-        if (p.seq <= it->second) {
-          return fmt("instance %u saw producer %u subset %u seq %u after "
-                     "seq %u across a router swap (%s -> %s)",
-                     t, p.run_id, p.subset, p.seq, it->second,
-                     core::router_kind_name(baseline),
-                     core::router_kind_name(dynamic));
-        }
-        it->second = p.seq;
-      }
-      for (std::size_t r = 0; r < p.records.size(); ++r) {
-        if (p.records[r].id != std::uint32_t(r)) {
-          return fmt("packet records reordered at instance %u under swap",
-                     t);
-        }
-      }
-    }
+  if (auto v = contract_violation(run, /*ordered=*/true)) {
+    return *v + fmt(" across a router swap (%s -> %s)",
+                    core::router_kind_name(baseline),
+                    core::router_kind_name(dynamic));
   }
-  if (packets_got != packets_sent || records_got != plan.total_records) {
+  if (run.packets != packets_sent || run.records != plan.total_records) {
     return fmt("lost traffic across router swaps: %zu/%zu packets, "
                "%zu/%zu records (%zu toggles)",
-               packets_got, packets_sent, records_got, plan.total_records,
+               run.packets, packets_sent, run.records, plan.total_records,
                toggles.size());
   }
   // Same plan + same toggle schedule replays bit-identically.
-  const SwitchedRun again =
+  const PlanRun again =
       run_switched_plan(plan, baseline, dynamic, base_rng, dyn_rng, toggles);
   if (again.digest != run.digest) {
     return fmt("same toggle schedule, different digests (%s -> %s)",
@@ -757,62 +691,29 @@ sim::Task<> migration_controller(sim::Engine& eng, core::StageOutput& out,
   }
 }
 
-struct MigratedRun {
-  std::vector<std::vector<core::Packet>> got;  // per target
-  std::uint64_t digest = 0;
-  std::size_t unfinished = 0;
-};
-
-MigratedRun run_migrated_plan(const PacketPlan& plan, core::RouterKind kind,
-                              sim::Rng router_rng,
-                              const std::vector<MigrationMove>& moves) {
-  asu::MachineParams mp;
+PlanRun run_migrated_plan(const PacketPlan& plan, core::RouterKind kind,
+                          sim::Rng router_rng,
+                          const std::vector<MigrationMove>& moves) {
   // One spare host beyond the consumers: a legal migration target that
   // never hosted an instance, so re-pins also exercise "fresh" nodes.
-  mp.num_hosts = plan.targets + 1;
-  mp.num_asus = plan.producers;
-  sim::Engine eng;
-  asu::Cluster cluster(eng, mp);
-
-  core::StageInboxes inboxes(eng, plan.targets, /*capacity_packets=*/4);
-  std::vector<asu::Node*> nodes;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    nodes.push_back(&cluster.host(t));
+  PlanRig rig(plan, /*to_asus=*/false, /*spare_hosts=*/1);
+  std::vector<asu::Node*> hosts;
+  for (unsigned h = 0; h <= plan.targets; ++h) {
+    hosts.push_back(&rig.cluster.host(h));
   }
-  std::vector<asu::Node*> hosts = nodes;
-  hosts.push_back(&cluster.host(plan.targets));
-  core::StageOutput out(
-      eng, cluster.network(),
-      core::StageSpec{
-          .record_bytes = mp.record_bytes,
-          .endpoints = inboxes.endpoints(nodes),
-          .router = core::make_router(
-              {.kind = kind, .rng = router_rng, .total_subsets = plan.subsets}),
-          .producers = plan.producers,
-          .window_per_producer = 4,
-          .name = "prop.lmmigrate"});
-
-  MigratedRun res;
-  res.got.resize(plan.targets);
-  for (unsigned p = 0; p < plan.producers; ++p) {
-    eng.spawn(plan_producer(out, cluster.asu(p), plan.per_producer[p]));
-  }
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    eng.spawn(plan_consumer(inboxes.inbox(t), res.got[t]));
-  }
-  eng.spawn(migration_controller(eng, out, hosts, moves));
-  eng.run();
-  res.digest = eng.digest();
-  res.unfinished = eng.unfinished_tasks();
-  return res;
+  return rig.run({.router = core::make_router({.kind = kind,
+                                               .rng = router_rng,
+                                               .total_subsets = plan.subsets}),
+                  .name = "prop.lmmigrate"},
+                 [&](core::StageOutput& out) {
+                   rig.eng.spawn(
+                       migration_controller(rig.eng, out, hosts, moves));
+                 });
 }
 
 std::optional<std::string> prop_lm_migration(sim::Rng& rng, unsigned size) {
-  PacketPlan plan = gen_packet_plan(rng, size);
-  constexpr core::RouterKind kRouters[] = {
-      core::RouterKind::Static, core::RouterKind::RoundRobin,
-      core::RouterKind::SimpleRandomization, core::RouterKind::LeastLoaded};
-  const core::RouterKind kind = kRouters[rng.below(std::size(kRouters))];
+  const PacketPlan plan = gen_packet_plan(rng, size);
+  const core::RouterKind kind = gen_router_kind(rng);
   const sim::Rng router_rng = rng.split();
 
   std::vector<MigrationMove> moves(1 + rng.below(8));
@@ -830,7 +731,7 @@ std::optional<std::string> prop_lm_migration(sim::Rng& rng, unsigned size) {
   }
   std::sort(want.begin(), want.end());
 
-  const MigratedRun run = run_migrated_plan(plan, kind, router_rng, moves);
+  const PlanRun run = run_migrated_plan(plan, kind, router_rng, moves);
   if (run.unfinished != 0) {
     return fmt("%zu tasks still blocked after migrated run",
                run.unfinished);
@@ -840,20 +741,13 @@ std::optional<std::string> prop_lm_migration(sim::Rng& rng, unsigned size) {
   // can overtake an earlier one still in flight to the old location. What
   // must survive is conservation — the delivered multiset equals the
   // emitted multiset — and intra-packet record integrity.
+  if (auto v = contract_violation(run, /*ordered=*/false)) {
+    return *v + fmt(" under migration (router=%s)",
+                    core::router_kind_name(kind));
+  }
   std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> got;
-  std::size_t records_got = 0;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    for (const auto& p : run.got[t]) {
-      got.emplace_back(p.run_id, p.subset, p.seq);
-      records_got += p.records.size();
-      for (std::size_t r = 0; r < p.records.size(); ++r) {
-        if (p.records[r].id != std::uint32_t(r)) {
-          return fmt("packet records reordered at instance %u under "
-                     "migration (router=%s)",
-                     t, core::router_kind_name(kind));
-        }
-      }
-    }
+  for (const auto& g : run.got) {
+    for (const auto& p : g) got.emplace_back(p.run_id, p.subset, p.seq);
   }
   std::sort(got.begin(), got.end());
   if (got != want) {
@@ -862,13 +756,13 @@ std::optional<std::string> prop_lm_migration(sim::Rng& rng, unsigned size) {
                got.size(), want.size(), moves.size(),
                core::router_kind_name(kind));
   }
-  if (records_got != plan.total_records) {
+  if (run.records != plan.total_records) {
     return fmt("lost records under migration: %zu/%zu (router=%s)",
-               records_got, plan.total_records,
+               run.records, plan.total_records,
                core::router_kind_name(kind));
   }
   // Same plan + same move schedule replays bit-identically.
-  const MigratedRun again = run_migrated_plan(plan, kind, router_rng, moves);
+  const PlanRun again = run_migrated_plan(plan, kind, router_rng, moves);
   if (again.digest != run.digest) {
     return fmt("same migration schedule, different digests (router=%s)",
                core::router_kind_name(kind));

@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "asu/asu.hpp"
-#include "core/pipeline.hpp"
+#include "core/program.hpp"
 #include "fault/fault.hpp"
 #include "obs/report.hpp"
 #include "obs/sampler.hpp"
@@ -45,15 +45,6 @@ double wall_seconds() {
       .count();
 }
 
-std::string join_names(const std::vector<std::string>& names) {
-  std::string out;
-  for (const auto& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out.empty() ? "<none>" : out;
-}
-
 }  // namespace
 
 /// A stored (sorted) run reassembled on an ASU, tagged with its subset.
@@ -71,8 +62,8 @@ struct StoredRun {
 /// the sim owns a private engine + cluster, runs the event loop itself,
 /// and may construct the fault/management layers. Embedded (DsmSortJob):
 /// the sim borrows a scheduler's engine + cluster, contributes only its
-/// own pipeline coroutines (wrapped so the job can detect completion),
-/// and leaves injection/monitoring/sampling to the scheduler. Every
+/// pass-1 instances (joined through the Program), and leaves
+/// injection/monitoring/sampling to the scheduler. Every
 /// instrument, track, and spawn name is routed through pfx(), so an
 /// empty cfg.label reproduces the legacy names byte-for-byte and the
 /// pinned golden digests are untouched.
@@ -141,23 +132,18 @@ class DsmSortSim {
           "DsmSortJob: run_merge_pass is not supported in embedded mode "
           "(pass 2 re-runs the engine, which a shared engine forbids)");
     }
-    embedded_ = true;
     build_pass1();
   }
 
-  /// Root coroutine of the embedded job: stamp the start time, launch
-  /// the instances, wait until every one of them drains, then assemble
-  /// the job-relative report. Completion is condition-driven — on a
-  /// shared engine, "the event loop returned" is everyone's signal, not
+  /// Root coroutine of the embedded job: stamp the start time, start the
+  /// pass-1 program, join it, then assemble the job-relative report. On
+  /// a shared engine, "the event loop returned" is everyone's signal, not
   /// this job's.
   sim::Task<> job_body() {
     t0_ = eng_.now();
-    total_instances_ = std::size_t(d_) + h_ + d_;
-    spawn_pass1();
-    while (finished_instances_ < total_instances_) {
-      co_await job_done_.wait();
-    }
-    pass1_end_ = *std::max_element(store_end_.begin(), store_end_.end());
+    pass1_->start();
+    co_await pass1_->join();
+    pass1_end_ = pass1_->finish_time();
     rep_ = DsmSortReport{};
     rep_.pass1_seconds = pass1_end_ - t0_;
     validate_pass1(rep_);
@@ -178,7 +164,7 @@ class DsmSortSim {
     manager_ = &manager;
     client_ = manager.add_client(label);
     manager.client_router(client_, switch_router_);
-    manager.client_instances(client_, host_nodes_vec(), host_nodes_vec());
+    manager.client_instances(client_, host_nodes(), host_nodes());
     for (unsigned hh = 0; hh < h_; ++hh) {
       manager.declare_instance(client_, hh, sort_declaration(hh));
     }
@@ -237,18 +223,13 @@ class DsmSortSim {
   void run_pass1() {
     build_pass1();
     attach_management();
-    spawn_pass1();
-    eng_.run();
-    if (eng_.unfinished_tasks() != 0) {
-      throw std::logic_error("DSM-Sort pass 1 deadlocked; unfinished: " +
-                             join_names(eng_.unfinished_task_names()));
-    }
-    pass1_end_ = *std::max_element(store_end_.begin(), store_end_.end());
+    pass1_->run();
+    pass1_end_ = pass1_->finish_time();
   }
 
-  /// Build the pass-1 pipeline: inboxes, routers, stage outputs,
-  /// histograms, validation state, and (standalone only) the fault
-  /// injector. No coroutines are spawned yet.
+  /// Build the pass-1 program (distribute@ASUs -> sort@hosts ->
+  /// store@ASUs), histograms, validation state, and (standalone only)
+  /// the fault injector. No instance is spawned yet.
   void build_pass1() {
     // The host-side inbox may buffer generously: hosts have large
     // memories (the model's asymmetry), and smooth pipelining requires
@@ -258,12 +239,6 @@ class DsmSortSim {
     const std::size_t host_inbox_packets = std::max<std::size_t>(
         64, mp_.host_memory / mp_.record_bytes / 2 /
                 std::max<std::size_t>(1, packet_records_) / h_);
-    sort_in_ = std::make_unique<StageInboxes>(eng_, h_, host_inbox_packets);
-    store_in_ = std::make_unique<StageInboxes>(eng_, d_, 64);
-
-    std::vector<asu_ns::Node*> host_nodes, asu_nodes;
-    for (unsigned i = 0; i < h_; ++i) host_nodes.push_back(&cluster_.host(i));
-    for (unsigned i = 0; i < d_; ++i) asu_nodes.push_back(&cluster_.asu(i));
 
     // Passive baseline has no subsets, so spread packets round-robin; the
     // active configurations route per the configured policy. Under the
@@ -296,15 +271,6 @@ class DsmSortSim {
                                  .instrument = &eng_,
                                  .label = "sort"});
     }
-    to_sort_ = std::make_unique<StageOutput>(
-        eng_, cluster_.network(),
-        StageSpec{.record_bytes = mp_.record_bytes,
-                  .endpoints = sort_in_->endpoints(host_nodes),
-                  .router = std::move(sort_router),
-                  .producers = d_,
-                  .name = pfx("to_sort"),
-                  .charge_scale = charge_scale_,
-                  .telemetry = cfg_.telemetry.histograms});
     // Runs are striped across ASUs at packet granularity (Section 4.3:
     // merged/sorted runs are stored striped across the ASUs). On a
     // hierarchical topology the striping prefers the producing sort
@@ -329,18 +295,37 @@ class DsmSortSim {
     } else {
       store_router = std::make_unique<RoundRobinRouter>();
     }
-    to_store_ = std::make_unique<StageOutput>(
-        eng_, cluster_.network(),
-        StageSpec{.record_bytes = mp_.record_bytes,
-                  .endpoints = store_in_->endpoints(asu_nodes),
-                  .router = std::move(store_router),
-                  .producers = h_,
-                  .name = pfx("to_store"),
-                  .charge_scale = charge_scale_,
-                  .telemetry = cfg_.telemetry.histograms});
+    // Both inputs carry the job's charge scale, telemetry opt-in and the
+    // fault plan's delivery contract.
+    const auto input = [&](const char* name,
+                           std::unique_ptr<RoutingPolicy> router) {
+      return StageSpec{.router = std::move(router),
+                       .name = pfx(name),
+                       .charge_scale = charge_scale_,
+                       .telemetry = cfg_.telemetry.histograms,
+                       .retry_timeout = cfg_.faults.retry_timeout,
+                       .max_retries = cfg_.faults.max_retries};
+    };
+    std::vector<ProgramStageSpec> stages;
+    stages.push_back(
+        {.name = pfx("distribute"),
+         .placement = asu_nodes(),
+         .body = [this](StageInstance io) { return distribute_instance(io); }});
+    stages.push_back(
+        {.name = pfx("sort"),
+         .placement = host_nodes(),
+         .body = [this](StageInstance io) { return sort_instance(io); },
+         .inbox_packets = host_inbox_packets,
+         .input = input("to_sort", std::move(sort_router))});
+    stages.push_back(
+        {.name = pfx("store"),
+         .placement = asu_nodes(),
+         .body = [this](StageInstance io) { return store_instance(io); },
+         .input = input("to_store", std::move(store_router))});
+    pass1_ = std::make_unique<Program>(cluster_, std::move(stages));
 
     // Functor-level latency histograms (the per-packet delivery and
-    // queue-wait instruments live inside the StageOutputs above). All
+    // queue-wait instruments live inside the stage inputs above). All
     // push-model: registered only on opt-in, fed from control flow that
     // runs anyway, so the digest and — when off — the metrics
     // fingerprint are untouched.
@@ -359,25 +344,18 @@ class DsmSortSim {
     records_sorted_per_host_.assign(h_, 0);
     sort_records_counters_.assign(h_, nullptr);
     sort_staged_records_.assign(h_, 0);
-    store_end_.assign(d_, 0.0);
 
     // Fault layer: spawned only for a non-empty plan so fault-free runs
     // make no extra RNG draws, schedule no extra events, and register no
     // extra metrics — the pinned golden digests stay bit-for-bit intact.
-    if (!cfg_.faults.empty()) {
-      to_sort_->set_fault_retry(cfg_.faults.retry_timeout,
-                                cfg_.faults.max_retries);
-      to_store_->set_fault_retry(cfg_.faults.retry_timeout,
-                                 cfg_.faults.max_retries);
-      // Embedded jobs configure the retry contract but never inject: the
-      // cluster's fault timeline belongs to the tenant scheduler (one
-      // injector for everyone, not one per job).
-      if (!embedded_) {
-        injector_ = std::make_unique<fault::FaultInjector>(
-            cluster_, cfg_.faults,
-            sim::Rng(cfg_.seed).stream(sim::stream_id("faults")));
-        eng_.spawn(injector_->run(), "fault-injector");
-      }
+    // Embedded jobs carry the retry contract but never inject: the
+    // cluster's fault timeline belongs to the tenant scheduler (one
+    // injector for everyone, not one per job).
+    if (!cfg_.faults.empty() && owned_eng_ != nullptr) {
+      injector_ = std::make_unique<fault::FaultInjector>(
+          cluster_, cfg_.faults,
+          sim::Rng(cfg_.seed).stream(sim::stream_id("faults")));
+      eng_.spawn(injector_->run(), "fault-injector");
     }
   }
 
@@ -443,45 +421,16 @@ class DsmSortSim {
     }
   }
 
-  /// Launch the pass-1 instance coroutines. Standalone spawns them bare
-  /// (names and order identical to the pre-refactor code, so the pinned
-  /// digests — which fold spawn names — are untouched); embedded wraps
-  /// each in tracked() so job_body() can detect drain on a shared
-  /// engine, where Engine::run() returning is not this job's signal.
-  void spawn_pass1() {
-    for (unsigned a = 0; a < d_; ++a) {
-      spawn_instance(distribute_instance(a),
-                     pfx("distribute") + std::to_string(a));
-    }
-    for (unsigned hh = 0; hh < h_; ++hh) {
-      spawn_instance(sort_instance(hh), pfx("sort") + std::to_string(hh));
-    }
-    for (unsigned a = 0; a < d_; ++a) {
-      spawn_instance(store_instance(a), pfx("store") + std::to_string(a));
-    }
-  }
-
-  void spawn_instance(sim::Task<> body, std::string name) {
-    if (embedded_) {
-      eng_.spawn(tracked(std::move(body)), std::move(name));
-    } else {
-      eng_.spawn(std::move(body), std::move(name));
-    }
-  }
-
-  /// Completion envelope for embedded instances: run the instance, then
-  /// count it done and wake the job body when the last one drains.
-  sim::Task<> tracked(sim::Task<> inner) {
-    co_await std::move(inner);
-    if (++finished_instances_ == total_instances_) {
-      job_done_.notify_all();
-    }
-  }
-
-  [[nodiscard]] std::vector<asu_ns::Node*> host_nodes_vec() {
+  [[nodiscard]] std::vector<asu_ns::Node*> host_nodes() {
     std::vector<asu_ns::Node*> nodes;
     nodes.reserve(h_);
     for (unsigned i = 0; i < h_; ++i) nodes.push_back(&cluster_.host(i));
+    return nodes;
+  }
+  [[nodiscard]] std::vector<asu_ns::Node*> asu_nodes() {
+    std::vector<asu_ns::Node*> nodes;
+    nodes.reserve(d_);
+    for (unsigned i = 0; i < d_; ++i) nodes.push_back(&cluster_.asu(i));
     return nodes;
   }
 
@@ -517,16 +466,15 @@ class DsmSortSim {
     return base + extra;
   }
 
-  sim::Task<> distribute_instance(unsigned a) {
-    asu_ns::Node& node = cluster_.asu(a);
+  sim::Task<> distribute_instance(StageInstance io) {
+    const unsigned a = io.index;
+    asu_ns::Node& node = *io.node;
+    StageOutput& to_sort = *io.output;
     obs::Counter& records_done =
         eng_.metrics().counter(pfx("functor.distribute") +
                                std::to_string(a) + ".records");
     const std::size_t n_local = local_share(a);
-    if (n_local == 0) {
-      to_sort_->producer_done();
-      co_return;
-    }
+    if (n_local == 0) co_return;
     KeyGenerator gen(cfg_.key_dist, n_local, workload_stream(a));
     asu_ns::Disk::ReadStream rs(node.disk(),
                                 block_records_ * mp_.record_bytes);
@@ -540,7 +488,7 @@ class DsmSortSim {
     std::vector<std::uint32_t> seq(alpha_, 0);
     for (unsigned s = 0; s < alpha_; ++s) {
       staging[s].subset = s;
-      staging[s].records = to_sort_->pool().acquire(slot_records);
+      staging[s].records = to_sort.pool().acquire(slot_records);
     }
 
     const double per_record_cpu =
@@ -580,7 +528,7 @@ class DsmSortSim {
         ++staged_records;
         if (staging[s].records.size() >= packet_records_) {
           staged_records -= staging[s].records.size();
-          stage_ready(staging[s], seq[s], ready, to_sort_->pool(),
+          stage_ready(staging[s], seq[s], ready, to_sort.pool(),
                       slot_records);
         } else if (staged_records >= budget_records) {
           std::size_t fullest = 0;
@@ -592,7 +540,7 @@ class DsmSortSim {
           }
           staged_records -= staging[fullest].records.size();
           stage_ready(staging[fullest], seq[fullest], ready,
-                      to_sort_->pool(), slot_records);
+                      to_sort.pool(), slot_records);
         }
       }
       const double wall = wall_seconds() - w0;
@@ -612,20 +560,19 @@ class DsmSortSim {
         if (charge > 0) co_await node.compute(scaled(charge));
       }
       for (auto& pkt : ready) {
-        co_await to_sort_->emit(node, std::move(pkt));
+        co_await to_sort.emit(node, std::move(pkt));
       }
     }
     // End of input: the last flush leaves each slot empty, no refill.
     ready.clear();
     for (unsigned s = 0; s < alpha_; ++s) {
       if (!staging[s].records.empty()) {
-        stage_ready(staging[s], seq[s], ready, to_sort_->pool(), 0);
+        stage_ready(staging[s], seq[s], ready, to_sort.pool(), 0);
       }
     }
     for (auto& pkt : ready) {
-      co_await to_sort_->emit(node, std::move(pkt));
+      co_await to_sort.emit(node, std::move(pkt));
     }
-    to_sort_->producer_done();
   }
 
   /// Flush one staging slot into `ready`, refilling the slot with a
@@ -642,11 +589,13 @@ class DsmSortSim {
     ready.push_back(std::move(out));
   }
 
-  sim::Task<> sort_instance(unsigned hh) {
+  sim::Task<> sort_instance(StageInstance io) {
+    const unsigned hh = io.index;
     // The instance's location is mutable state: the load manager may
     // re-pin it to another host mid-stream (functor migration).
-    asu_ns::Node* node = &cluster_.host(hh);
-    auto& in = sort_in_->inbox(hh);
+    asu_ns::Node* node = io.node;
+    auto& in = *io.inbox;
+    StageOutput& to_sort = *io.input;
     const std::uint32_t track =
         eng_.tracer().track(pfx("sort") + std::to_string(hh));
     const std::size_t run_len = cfg_.host_run_length();
@@ -656,7 +605,7 @@ class DsmSortSim {
     while (true) {
       auto p = co_await in.recv();
       if (!p) break;
-      to_sort_->consumed(*p, track);
+      to_sort.consumed(*p, track);
       const double t_take = eng_.now();
       // Accepted packets stay queued across a crash window; processing
       // pauses here and resumes on recovery (nothing is lost).
@@ -704,7 +653,7 @@ class DsmSortSim {
             sort_rack_[hh] =
                 cluster_.topology().rack_of_host(unsigned(target->id()));
           }
-          to_sort_->set_target_node(hh, *target);
+          to_sort.set_target_node(hh, *target);
           manager_->migration_performed(client_, hh, *target);
         }
       }
@@ -712,7 +661,7 @@ class DsmSortSim {
       auto& buf = staging[p->subset];
       buf.insert(buf.end(), p->records.begin(), p->records.end());
       sort_staged_records_[hh] += p->records.size();
-      to_sort_->pool().release(std::move(p->records));
+      to_sort.pool().release(std::move(p->records));
       while (buf.size() >= run_len) {
         std::vector<em::KeyRecord> block;
         if (buf.size() == run_len) {
@@ -725,7 +674,7 @@ class DsmSortSim {
           buf.erase(buf.begin(), buf.begin() + std::ptrdiff_t(run_len));
         }
         sort_staged_records_[hh] -= run_len;
-        co_await emit_run(*node, hh, p->subset, std::move(block),
+        co_await emit_run(*io.output, *node, hh, p->subset, std::move(block),
                           next_run_id++, parent_flow);
       }
       if (sort_hist_ != nullptr) sort_hist_->observe(eng_.now() - t_take);
@@ -734,11 +683,10 @@ class DsmSortSim {
     for (auto& [subset, buf] : staging) {
       if (!buf.empty()) {
         sort_staged_records_[hh] -= buf.size();
-        co_await emit_run(*node, hh, subset, std::move(buf), next_run_id++,
-                          /*parent_flow=*/0);
+        co_await emit_run(*io.output, *node, hh, subset, std::move(buf),
+                          next_run_id++, /*parent_flow=*/0);
       }
     }
-    to_store_->producer_done();
   }
 
   /// Background half of a pre-copy move: ship the bulk working set
@@ -750,8 +698,8 @@ class DsmSortSim {
     co_await cluster_.network().transfer(from, to, bytes);
   }
 
-  sim::Task<> emit_run(asu_ns::Node& node, unsigned hh, std::uint32_t subset,
-                       std::vector<em::KeyRecord> block,
+  sim::Task<> emit_run(StageOutput& to_store, asu_ns::Node& node, unsigned hh,
+                       std::uint32_t subset, std::vector<em::KeyRecord> block,
                        std::uint32_t run_id, std::uint64_t parent_flow) {
     // Run formation is a stable radix sort: equal keys keep their arrival
     // order. It completes before the first co_await, so every instance
@@ -777,10 +725,14 @@ class DsmSortSim {
     }
     sorted->inc(block.size());
 
+    // A run that fits one packet travels as is; a longer one is chunked
+    // into recycled packet buffers.
+    const std::size_t records = block.size();
+    const bool whole = records <= packet_records_;
     std::size_t off = 0;
     std::uint32_t seq = 0;
-    while (off < block.size()) {
-      const std::size_t n = std::min(packet_records_, block.size() - off);
+    while (off < records) {
+      const std::size_t n = std::min(packet_records_, records - off);
       Packet out;
       out.subset = subset;
       out.run_id = run_id;
@@ -789,22 +741,28 @@ class DsmSortSim {
       // Derived flow: the sorted-run packet's lane links back to the
       // distribute packet whose arrival completed the run.
       out.parent_id = parent_flow;
-      out.records = to_store_->pool().acquire(n);
-      out.records.assign(block.begin() + std::ptrdiff_t(off),
-                         block.begin() + std::ptrdiff_t(off + n));
+      if (whole) {
+        out.records = std::move(block);
+      } else {
+        out.records = to_store.pool().acquire(n);
+        out.records.assign(block.begin() + std::ptrdiff_t(off),
+                           block.begin() + std::ptrdiff_t(off + n));
+      }
       off += n;
-      co_await to_store_->emit(node, std::move(out));
+      co_await to_store.emit(node, std::move(out));
     }
   }
 
-  sim::Task<> store_instance(unsigned a) {
-    asu_ns::Node& node = cluster_.asu(a);
+  sim::Task<> store_instance(StageInstance io) {
+    const unsigned a = io.index;
+    asu_ns::Node& node = *io.node;
+    StageOutput& to_store = *io.input;
     obs::Counter& records_done =
         eng_.metrics().counter(pfx("functor.store") + std::to_string(a) +
                                ".records");
     const std::uint32_t track =
         eng_.tracer().track(pfx("store") + std::to_string(a));
-    auto& in = store_in_->inbox(a);
+    auto& in = *io.inbox;
     // Chunks are placed by (run_id, seq) rather than appended in arrival
     // order: fault re-routing (retry-with-timeout) can let a later chunk
     // of a run overtake an earlier one, and chunk seqs within a run are
@@ -828,13 +786,13 @@ class DsmSortSim {
       }
       to.reserve(std::max(run_len, to.size() + chunk.size()));
       to.insert(to.end(), chunk.begin(), chunk.end());
-      to_store_->pool().release(std::move(chunk));
+      to_store.pool().release(std::move(chunk));
     };
     std::map<std::uint32_t, OpenRun> open;  // run_id -> accumulating run
     while (true) {
       auto p = co_await in.recv();
       if (!p) break;
-      to_store_->consumed(*p, track);
+      to_store.consumed(*p, track);
       const double t_take = eng_.now();
       while (!node.running()) co_await node.health_wait();
       records_done.inc(p->records.size());
@@ -863,7 +821,6 @@ class DsmSortSim {
       }
       dest.push_back(StoredRun{run.subset, std::move(run.records)});
     }
-    store_end_[a] = eng_.now();
   }
 
   void validate_pass1(DsmSortReport& rep) const {
@@ -908,53 +865,37 @@ class DsmSortSim {
 
   // ----------------------------- pass 2 -------------------------------
 
+  /// Pass 2 is its own program: asu_merge@ASUs -> host_merge@hosts ->
+  /// final_store@ASUs.
   void run_pass2(DsmSortReport& rep) {
-    merge_in_ = std::make_unique<StageInboxes>(eng_, h_, 16);
-    final_in_ = std::make_unique<StageInboxes>(eng_, d_, 8);
+    std::vector<ProgramStageSpec> stages;
+    stages.push_back(
+        {.name = "asu_merge",
+         .placement = asu_nodes(),
+         .body = [this](StageInstance io) { return asu_merge_instance(io); }});
+    stages.push_back(
+        {.name = "host_merge",
+         .placement = host_nodes(),
+         .body = [this](StageInstance io) { return host_merge_instance(io); },
+         .inbox_packets = 16,
+         .input = {.router = std::make_unique<StaticPartitionRouter>(),
+                   .name = "to_host_merge",
+                   .telemetry = cfg_.telemetry.histograms}});
+    stages.push_back(
+        {.name = "final_store",
+         .placement = asu_nodes(),
+         .body = [this](StageInstance io) { return final_store_instance(io); },
+         .inbox_packets = 8,
+         .input = {.router = std::make_unique<RoundRobinRouter>(),
+                   .name = "to_final_store",
+                   .telemetry = cfg_.telemetry.histograms}});
+    Program pass2(cluster_, std::move(stages));
 
-    std::vector<asu_ns::Node*> host_nodes, asu_nodes;
-    for (unsigned i = 0; i < h_; ++i) host_nodes.push_back(&cluster_.host(i));
-    for (unsigned i = 0; i < d_; ++i) asu_nodes.push_back(&cluster_.asu(i));
-
-    to_host_merge_ = std::make_unique<StageOutput>(
-        eng_, cluster_.network(),
-        StageSpec{.record_bytes = mp_.record_bytes,
-                  .endpoints = merge_in_->endpoints(host_nodes),
-                  .router = std::make_unique<StaticPartitionRouter>(),
-                  .producers = d_,
-                  .name = "to_host_merge",
-                  .telemetry = cfg_.telemetry.histograms});
-    to_final_store_ = std::make_unique<StageOutput>(
-        eng_, cluster_.network(),
-        StageSpec{.record_bytes = mp_.record_bytes,
-                  .endpoints = final_in_->endpoints(asu_nodes),
-                  .router = std::make_unique<RoundRobinRouter>(),
-                  .producers = h_,
-                  .name = "to_final_store",
-                  .telemetry = cfg_.telemetry.histograms});
-
-    final_end_.assign(d_, pass1_end_);
     subset_bounds_.assign(alpha_, {});
     final_sorted_ok_ = true;
+    pass2.run();
 
-    for (unsigned a = 0; a < d_; ++a) {
-      eng_.spawn(asu_merge_instance(a), "asu_merge" + std::to_string(a));
-    }
-    for (unsigned hh = 0; hh < h_; ++hh) {
-      eng_.spawn(host_merge_instance(hh), "host_merge" + std::to_string(hh));
-    }
-    for (unsigned a = 0; a < d_; ++a) {
-      eng_.spawn(final_store_instance(a), "final_store" + std::to_string(a));
-    }
-
-    eng_.run();
-    if (eng_.unfinished_tasks() != 0) {
-      throw std::logic_error("DSM-Sort pass 2 deadlocked; unfinished: " +
-                             join_names(eng_.unfinished_task_names()));
-    }
-
-    rep.pass2_seconds =
-        *std::max_element(final_end_.begin(), final_end_.end()) - pass1_end_;
+    rep.pass2_seconds = pass2.finish_time() - pass1_end_;
     rep.records_final = records_final_;
 
     // Cross-subset order: max key of subset s <= min key of subset s+1.
@@ -970,8 +911,10 @@ class DsmSortSim {
         final_sorted_ok_ && records_final_ == rep.records_in;
   }
 
-  sim::Task<> asu_merge_instance(unsigned a) {
-    asu_ns::Node& node = cluster_.asu(a);
+  sim::Task<> asu_merge_instance(StageInstance io) {
+    const unsigned a = io.index;
+    asu_ns::Node& node = *io.node;
+    StageOutput& to_host_merge = *io.output;
     std::uint32_t next_run_id = a * 0x10000u + 1;
     for (std::uint32_t s = 0; s < alpha_; ++s) {
       // Collect this ASU's local runs of subset s.
@@ -1012,9 +955,9 @@ class DsmSortSim {
             out.run_id = next_run_id;
             out.seq = seq;
             out.sorted = true;
-            out.records = to_host_merge_->pool().acquire(packet_records_);
+            out.records = to_host_merge.pool().acquire(packet_records_);
             merge.pop(out.records, packet_records_);
-            co_await to_host_merge_->emit(node, std::move(out));
+            co_await to_host_merge.emit(node, std::move(out));
           }
           ++next_run_id;
         }
@@ -1023,14 +966,15 @@ class DsmSortSim {
       Packet marker;
       marker.subset = s;
       marker.run_id = kSubsetDoneMarker;
-      co_await to_host_merge_->emit(node, std::move(marker));
+      co_await to_host_merge.emit(node, std::move(marker));
     }
-    to_host_merge_->producer_done();
   }
 
-  sim::Task<> host_merge_instance(unsigned hh) {
-    asu_ns::Node& node = cluster_.host(hh);
-    auto& in = merge_in_->inbox(hh);
+  sim::Task<> host_merge_instance(StageInstance io) {
+    const unsigned hh = io.index;
+    asu_ns::Node& node = *io.node;
+    auto& in = *io.inbox;
+    StageOutput& to_host_merge = *io.input;
     const std::uint32_t track =
         eng_.tracer().track("host_merge" + std::to_string(hh));
     std::map<std::uint32_t, std::map<std::uint32_t, std::vector<em::KeyRecord>>>
@@ -1040,10 +984,11 @@ class DsmSortSim {
     while (true) {
       auto p = co_await in.recv();
       if (!p) break;
-      to_host_merge_->consumed(*p, track);
+      to_host_merge.consumed(*p, track);
       if (p->run_id == kSubsetDoneMarker) {
         if (++done_markers[p->subset] == d_) {
-          co_await merge_subset(node, p->subset, pending[p->subset]);
+          co_await merge_subset(*io.output, node, p->subset,
+                                pending[p->subset]);
           pending.erase(p->subset);
         }
         continue;
@@ -1053,14 +998,13 @@ class DsmSortSim {
         run = std::move(p->records);
       } else {
         run.insert(run.end(), p->records.begin(), p->records.end());
-        to_host_merge_->pool().release(std::move(p->records));
+        to_host_merge.pool().release(std::move(p->records));
       }
     }
-    to_final_store_->producer_done();
   }
 
   sim::Task<> merge_subset(
-      asu_ns::Node& node, std::uint32_t subset,
+      StageOutput& to_final_store, asu_ns::Node& node, std::uint32_t subset,
       std::map<std::uint32_t, std::vector<em::KeyRecord>>& runs) {
     if (runs.empty()) co_return;
 
@@ -1102,7 +1046,7 @@ class DsmSortSim {
       out.subset = subset;
       out.seq = seq;
       out.sorted = true;
-      out.records = to_final_store_->pool().acquire(packet_records_);
+      out.records = to_final_store.pool().acquire(packet_records_);
       merge.pop(out.records, packet_records_);
       // One sweep per packet checks the order across the whole subset.
       std::uint32_t prev = bounds.count == 0 ? 0 : bounds.max_key;
@@ -1116,24 +1060,23 @@ class DsmSortSim {
       bounds.max_key = prev;
       bounds.count += out.records.size();
       co_await node.compute(double(out.records.size()) * per_rec);
-      co_await to_final_store_->emit(node, std::move(out));
+      co_await to_final_store.emit(node, std::move(out));
     }
   }
 
-  sim::Task<> final_store_instance(unsigned a) {
-    asu_ns::Node& node = cluster_.asu(a);
-    auto& in = final_in_->inbox(a);
+  sim::Task<> final_store_instance(StageInstance io) {
+    asu_ns::Node& node = *io.node;
+    StageOutput& to_final_store = *io.input;
     const std::uint32_t track =
-        eng_.tracer().track("final_store" + std::to_string(a));
+        eng_.tracer().track("final_store" + std::to_string(io.index));
     while (true) {
-      auto p = co_await in.recv();
+      auto p = co_await io.inbox->recv();
       if (!p) break;
-      to_final_store_->consumed(*p, track);
+      to_final_store.consumed(*p, track);
       co_await node.disk().write(p->wire_bytes(mp_.record_bytes));
       records_final_ += p->records.size();
-      to_final_store_->pool().release(std::move(p->records));
+      to_final_store.pool().release(std::move(p->records));
     }
-    final_end_[a] = eng_.now();
   }
 
   // ----------------------------- reporting ----------------------------
@@ -1207,15 +1150,7 @@ class DsmSortSim {
   /// Scratch for emit_run's radix sort (at most one run long).
   std::vector<em::KeyRecord> sort_scratch_;
 
-  std::unique_ptr<StageInboxes> sort_in_;
-  std::unique_ptr<StageInboxes> store_in_;
-  std::unique_ptr<StageOutput> to_sort_;
-  std::unique_ptr<StageOutput> to_store_;
-
-  std::unique_ptr<StageInboxes> merge_in_;
-  std::unique_ptr<StageInboxes> final_in_;
-  std::unique_ptr<StageOutput> to_host_merge_;
-  std::unique_ptr<StageOutput> to_final_store_;
+  std::unique_ptr<Program> pass1_;
 
   std::vector<std::uint64_t> checksum_in_;
   std::vector<std::size_t> count_in_;
@@ -1232,10 +1167,8 @@ class DsmSortSim {
   /// rack_affinity_store only; empty otherwise). Migrations update it so
   /// run storage follows the instance to its new rack.
   std::vector<unsigned> sort_rack_;
-  std::vector<double> store_end_;
   double pass1_end_ = 0;
 
-  std::vector<double> final_end_;
   std::vector<SubsetBounds> subset_bounds_;
   std::size_t records_final_ = 0;
   bool final_sorted_ok_ = true;
@@ -1252,18 +1185,12 @@ class DsmSortSim {
   obs::LatencyHistogram* migration_hist_ = nullptr;
   obs::LatencyHistogram* phase_hist_ = nullptr;
   obs::LatencyHistogram* job_hist_ = nullptr;
-  SwitchableRouter* switch_router_ = nullptr;  // owned by to_sort_'s router
+  SwitchableRouter* switch_router_ = nullptr;  // owned by to_sort's router
 
-  // Embedded (job) mode state — inert in standalone runs: embedded_
-  // stays false, the condition is constructed but never notified (a
-  // no-event operation), and charge_scale_ is exactly 1.0 at the
+  // Embedded (job) mode state. charge_scale_ is exactly 1.0 at the
   // default weight, so the standalone event stream is unchanged.
-  bool embedded_ = false;
   double charge_scale_ = 1.0;  // 1 / cfg.fair_share_weight
   double t0_ = 0;
-  std::size_t total_instances_ = 0;
-  std::size_t finished_instances_ = 0;
-  sim::Condition job_done_{eng_};
   DsmSortReport rep_;
   bool finished_flag_ = false;
 };

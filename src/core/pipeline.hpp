@@ -63,10 +63,10 @@ struct StageSpec {
   std::size_t record_bytes = 0;
 
   /// Downstream instances: one inbox + pinned node per replica.
-  std::vector<Endpoint> endpoints;
+  std::vector<Endpoint> endpoints{};
 
   /// Routing policy across the replicas (required).
-  std::unique_ptr<RoutingPolicy> router;
+  std::unique_ptr<RoutingPolicy> router{};
 
   /// Number of upstream producers that will call producer_done().
   /// Must be >= 1: the in-flight window is per-producer, so zero
@@ -96,6 +96,13 @@ struct StageSpec {
   /// metrics fingerprints require that no instruments appear unless a
   /// run opts in.
   bool telemetry = false;
+
+  /// Degraded-mode delivery contract (see fault::FaultPlan): how long an
+  /// in-flight packet waits before re-entering the router when its target
+  /// crashes under it, and how many re-routes it attempts before parking
+  /// until that replica recovers.
+  double retry_timeout = 1e-3;
+  std::size_t max_retries = 8;
 };
 
 /// The outbound side of a functor stage: routes packets across the
@@ -121,6 +128,8 @@ class StageOutput {
         window_(std::max<std::size_t>(1, spec.window_per_producer) *
                 spec.producers),
         charge_scale_(spec.charge_scale),
+        retry_timeout_(spec.retry_timeout),
+        max_retries_(spec.max_retries),
         slot_free_(eng),
         drained_(eng),
         name_(std::move(spec.name)) {
@@ -132,6 +141,10 @@ class StageOutput {
       throw std::invalid_argument("StageOutput '" + name_ +
                                   "': StageSpec.producers must be >= 1 "
                                   "(the in-flight window is per-producer)");
+    }
+    if (!(retry_timeout_ > 0)) {
+      throw std::invalid_argument("StageOutput '" + name_ +
+                                  "': StageSpec.retry_timeout must be > 0");
     }
     targets_.reserve(endpoints_.size());
     for (const auto& ep : endpoints_) targets_.push_back({ep.node});
@@ -187,15 +200,6 @@ class StageOutput {
     targets_dirty_ = true;
   }
 
-  /// Degraded-mode delivery contract (see fault::FaultPlan): how long an
-  /// in-flight packet waits before re-entering the router when its target
-  /// crashes under it, and how many re-routes it attempts before parking
-  /// until that replica recovers.
-  void set_fault_retry(double timeout, std::size_t max_retries) {
-    assert(timeout > 0);
-    retry_timeout_ = timeout;
-    max_retries_ = max_retries;
-  }
   [[nodiscard]] std::uint64_t packets_sent() const noexcept {
     return packets_sent_;
   }
@@ -450,12 +454,12 @@ class StageOutput {
   std::vector<std::size_t> active_index_;
   std::uint64_t seen_epoch_ = 0;  ///< 0 forces the first refresh
   bool targets_dirty_ = false;
-  double retry_timeout_ = 1e-3;
-  std::size_t max_retries_ = 8;
   std::unique_ptr<RoutingPolicy> router_;
   unsigned producers_left_;
   std::size_t window_;
   double charge_scale_ = 1.0;
+  double retry_timeout_;
+  std::size_t max_retries_;
   std::size_t inflight_ = 0;
   sim::Condition slot_free_;
   sim::Condition drained_;

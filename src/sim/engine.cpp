@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 
 namespace lmas::sim {
 
@@ -245,6 +246,19 @@ std::vector<std::string> Engine::unfinished_task_names() const {
     }
   }
   return out;
+}
+
+void Engine::require_drained(std::string_view what) const {
+  if (unfinished_tasks() == 0) return;
+  std::string msg(what);
+  msg += " deadlocked; unfinished: ";
+  bool first = true;
+  for (const auto& n : unfinished_task_names()) {
+    if (!first) msg += ", ";
+    msg += n;
+    first = false;
+  }
+  throw std::logic_error(msg);
 }
 
 void Engine::free_root(std::size_t slot) {

@@ -5,6 +5,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -200,6 +201,11 @@ class Engine {
   /// the offender instead of printing a count. Unnamed tasks report as
   /// "<anonymous>".
   [[nodiscard]] std::vector<std::string> unfinished_task_names() const;
+
+  /// The one deadlock diagnostic: after run() drains the queue, throw
+  /// std::logic_error("<what> deadlocked; unfinished: a, b") naming every
+  /// unfinished root in spawn order. No-op when every root finished.
+  void require_drained(std::string_view what) const;
 
   /// Root frames the engine still holds. After run() returns this is
   /// unfinished_tasks() plus the failed roots not yet reaped: returned

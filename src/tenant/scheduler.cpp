@@ -65,15 +65,6 @@ void validate_config(const TenancyConfig& cfg) {
   }
 }
 
-std::string join_names(const std::vector<std::string>& names) {
-  std::string out;
-  for (const auto& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out.empty() ? "<none>" : out;
-}
-
 std::uint64_t fold64(std::uint64_t h, std::uint64_t v) noexcept {
   return sim::splitmix64_once(h ^ v);
 }
@@ -221,10 +212,7 @@ class TenantScheduler {
       eng_.spawn(admission(), "tenant-admission");
     }
     eng_.run();
-    if (eng_.unfinished_tasks() != 0) {
-      throw std::logic_error("tenancy run deadlocked; unfinished: " +
-                             join_names(eng_.unfinished_task_names()));
-    }
+    eng_.require_drained("tenancy run");
     return assemble();
   }
 
